@@ -1,0 +1,80 @@
+"""SHA-256 of every CSV body a set of short scenario runs writes.
+
+A refactor that must not change results is checked by running this script on
+the tree before and after it and comparing the two outputs line by line:
+
+    PYTHONPATH=src python scripts/golden_csv.py > before.txt
+    ... change the code ...
+    PYTHONPATH=src python scripts/golden_csv.py > after.txt
+    diff before.txt after.txt
+
+Each scenario goes through ``cli.run_scenario_with_artifacts``.  The set is
+the five shipped presets, shortened, plus variants that no preset exercises:
+a PML on all four sides (corners included) with gamma != 1, theta below 1 on
+both axes, fractional reflection coefficients, snapshots and two receivers,
+for each medium preset; and two-media interfaces on x and on y with layers on
+east and north.  Output lines are ``<sha256>  <scenario>/<file>``, sorted.
+"""
+
+import hashlib
+import tempfile
+from pathlib import Path
+
+from wavelab import cli, scenario
+
+PRESET_TIME = 6.0
+SHORT_PRESET_TIME = {"convergence-study": 0.7}
+
+
+def _variant(name, medium, sides, gamma=1.0, **extra):
+    data = {
+        "schema": 1,
+        "name": name,
+        "domain": {"x": [-20.0, 20.0], "y": [0.0, 20.0]},
+        "element_size": 5.0,
+        "degree": 4,
+        "medium": medium,
+        "pml": {"sides": sides, "width": 10.0, "tol": 0.001, "alpha": 0.15,
+                "gamma": gamma},
+        "boundaries": {"west": 0.3, "east": -0.4, "south": 0.6,
+                       "north": -0.2},
+        "final_time": PRESET_TIME,
+        "receivers": [[5.0, 10.0], [-12.5, 3.0]],
+    }
+    data.update(extra)
+    return scenario.from_dict(data)
+
+
+def scenarios():
+    out = []
+    for name in scenario.PRESET_SCENARIOS:
+        sc = scenario.load_preset(name)
+        out.append(scenario.with_overrides(
+            sc, final_time=SHORT_PRESET_TIME.get(name, PRESET_TIME)))
+    for med in ("acoustic-484", "iso-table1", "am1-table1"):
+        out.append(_variant(f"all-sides-{med}", med,
+                            ["west", "east", "south", "north"], gamma=1.5,
+                            theta={"x": 0.5, "y": 0.25},
+                            snapshot_times=[2.0, PRESET_TIME]))
+    for axis, position in (("x", 0.0), ("y", 10.0)):
+        medium = {"two": ["iso-table1", "am1-table1"],
+                  "interface": {"axis": axis, "position": position}}
+        out.append(_variant(f"two-media-{axis}", medium, ["east", "north"],
+                            snapshot_times=[0.0, 3.0, PRESET_TIME]))
+    return out
+
+
+def main():
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for sc in scenarios():
+            out = Path(tmp) / sc.name
+            cli.run_scenario_with_artifacts(sc, out)
+            for path in sorted(out.glob("*.csv")):
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                lines.append(f"{digest}  {sc.name}/{path.name}")
+    print("\n".join(sorted(lines, key=lambda s: s.split("  ")[1])))
+
+
+if __name__ == "__main__":
+    main()

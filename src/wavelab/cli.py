@@ -219,15 +219,10 @@ def convergence_study(degrees=(2, 3), meshes=(10, 20, 40), out_dir=None):
 
 
 def run_preset(name, out_dir=None, **overrides):
-    """Execute a named experiment preset; returns (exit_status, payload)."""
-    if name in scenario_mod.PRESET_SCENARIOS:
-        sc = scenario_mod.with_overrides(scenario_mod.load_preset(name),
-                                         **overrides)
-        try:
-            record = run_scenario_with_artifacts(sc, out_dir)
-        except UnstableRunError as exc:
-            return EXIT_UNSTABLE, exc.record
-        return EXIT_OK, record
+    """Execute a named experiment preset; returns (exit_status, payload).
+
+    A meta-preset wins over a scenario preset of the same name, so
+    ``convergence-study`` runs the refinement sweep."""
     if name == "abc-comparison":
         base = scenario_mod.with_overrides(
             scenario_mod.load_preset("acoustic-waveguide"), **overrides)
@@ -242,7 +237,18 @@ def run_preset(name, out_dir=None, **overrides):
                                            out_dir or "out/stability-analysis")
         return EXIT_OK, reports
     if name == "convergence-study":
+        if overrides:
+            raise ConfigurationError(
+                f"unknown convergence-study overrides {sorted(overrides)}")
         return EXIT_OK, convergence_study(out_dir=out_dir)
+    if name in scenario_mod.PRESET_SCENARIOS:
+        sc = scenario_mod.with_overrides(scenario_mod.load_preset(name),
+                                         **overrides)
+        try:
+            record = run_scenario_with_artifacts(sc, out_dir)
+        except UnstableRunError as exc:
+            return EXIT_UNSTABLE, exc.record
+        return EXIT_OK, record
     raise ConfigurationError(
         f"unknown preset {name!r}; available: {ALL_PRESETS}")
 

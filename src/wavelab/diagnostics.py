@@ -1,10 +1,8 @@
-"""Energy norms, L-infinity series, receiver sampling and PML error measures."""
+"""Energy norms, L-infinity series and PML error measures."""
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .operators import lagrange_eval
 
 
 def discrete_energy(U, mesh):
@@ -41,17 +39,6 @@ def linf_norm(U, selector, mesh=None):
             vx, vy = U[..., 0, :, :], U[..., 1, :, :]
         return float(np.sqrt(np.max(vx ** 2 + vy ** 2)))
     return float(np.max(np.abs(U[..., int(selector), :, :])))
-
-
-def receiver_sample(U, mesh, location):
-    """Tensor-product Lagrange evaluation of all fields at a point."""
-    x, y = location
-    kx, ly = mesh.element_of_point(x, y)
-    q = 2.0 * (x - mesh.x_edges[kx]) / mesh.dx[kx] - 1.0
-    r = 2.0 * (y - mesh.y_edges[ly]) / mesh.dy[ly] - 1.0
-    ex = lagrange_eval(mesh.ref.nodes, q)
-    ey = lagrange_eval(mesh.ref.nodes, r)
-    return np.einsum("mij,i,j->m", U[kx, ly], ex, ey)
 
 
 @dataclass

@@ -51,9 +51,6 @@ class CoefficientMatrices:
     def m(self):
         return self.P.shape[0]
 
-    def P_inverse(self):
-        return np.linalg.inv(self.P)
-
 
 @dataclass(frozen=True)
 class AcousticMedium:
@@ -71,10 +68,6 @@ class AcousticMedium:
     @property
     def c(self):
         return float(np.sqrt(self.kappa / self.rho))
-
-    @property
-    def n_fields(self):
-        return 3
 
     def wave_speeds(self):
         return WaveSpeeds(c_p=self.c)
@@ -116,32 +109,10 @@ class ElasticMedium2D:
                 f"(c11={self.c11}, c12={self.c12}, c22={self.c22}, "
                 f"c33={self.c33}, rho={self.rho})")
 
-    @property
-    def n_fields(self):
-        return 5
-
     def stiffness(self):
         return np.array([[self.c11, self.c12, 0.0],
                          [self.c12, self.c22, 0.0],
                          [0.0, 0.0, self.c33]])
-
-    def christoffel(self, direction):
-        """Acoustic tensor Gamma(n); plane-wave speeds are sqrt(eig/rho)."""
-        n1, n2 = direction
-        return np.array([
-            [self.c11 * n1 ** 2 + self.c33 * n2 ** 2,
-             (self.c12 + self.c33) * n1 * n2],
-            [(self.c12 + self.c33) * n1 * n2,
-             self.c33 * n1 ** 2 + self.c22 * n2 ** 2],
-        ])
-
-    def plane_wave_speeds(self, direction):
-        """(slow, fast) wave speeds along a unit direction."""
-        lam = np.linalg.eigvalsh(self.christoffel(direction))
-        if lam[0] <= 0:
-            raise InvalidMediumError(
-                f"non-positive Christoffel eigenvalue along {direction}")
-        return np.sqrt(lam / self.rho)
 
     def wave_speeds(self):
         """Extremal speeds: c_p maximizes the fast branch, c_s minimizes the
@@ -191,18 +162,6 @@ class ElasticMedium2D:
             fields=("vx", "vy", "sxx", "syy", "sxy"))
 
 
-def wave_speeds(medium):
-    return medium.wave_speeds()
-
-
-def coefficient_matrices(medium):
-    return medium.coefficient_matrices()
-
-
-def impedances(medium, axis):
-    return medium.impedances(axis)
-
-
 def is_acoustic(medium):
     return isinstance(medium, AcousticMedium)
 
@@ -226,10 +185,6 @@ def preset(name):
         raise InvalidMediumError(
             f"unknown medium preset {name!r}; "
             f"available: {sorted(_presets())}") from None
-
-
-def preset_names():
-    return sorted(_presets())
 
 
 def from_config(cfg):

@@ -1,8 +1,8 @@
 """Reference-element machinery: GLL quadrature, derivative matrix, SBP norm.
 
 All operators live on the reference interval [-1, 1].  Physical elements are
-affine images of the reference square; metric factors are applied by the
-caller (see :func:`tensor_apply` and :class:`AffineMap`).
+affine images of the reference square; the solver applies the metric factors
+and the tensor-product structure itself (see ``wavelab.solver.core``).
 """
 
 import numpy as np
@@ -119,84 +119,7 @@ class ReferenceElement1D:
         self.e_left = lagrange_eval(nodes, -1.0)
         self.e_right = lagrange_eval(nodes, 1.0)
 
-    @property
-    def H(self):
-        return np.diag(self.weights)
-
     def sbp_residual(self):
         """Max-norm defect of Q + Q^T = B(1,1) - B(-1,-1)."""
         B = np.outer(self.e_right, self.e_right) - np.outer(self.e_left, self.e_left)
         return np.max(np.abs(self.Q + self.Q.T - B))
-
-
-def derivative_matrix(N):
-    """Build the degree-N reference element with its differentiation matrix."""
-    return ReferenceElement1D(N)
-
-
-def tensor_apply(op, axis, field, metric=1.0):
-    """Apply a 1D operator along one tensor axis of nodal data.
-
-    ``field`` has its two trailing axes indexing (x-node, y-node); any leading
-    axes (fields, elements) are carried along.  Equivalent to the Kronecker
-    action (op x I for axis 0, I x op for axis 1) scaled by ``metric``.
-    """
-    op = np.asarray(op)
-    field = np.asarray(field)
-    n = op.shape[0]
-    if axis == 0:
-        if field.shape[-2] != n:
-            raise ValueError(
-                f"field x-extent {field.shape[-2]} does not match operator size {n}")
-        out = np.einsum("ab,...bj->...aj", op, field)
-    elif axis == 1:
-        if field.shape[-1] != n:
-            raise ValueError(
-                f"field y-extent {field.shape[-1]} does not match operator size {n}")
-        out = np.einsum("ab,...ib->...ia", op, field)
-    else:
-        raise ValueError(f"axis must be 0 or 1, got {axis}")
-    return metric * out if metric != 1.0 else out
-
-
-_FACE_SLICES = {
-    "west": (0, slice(None)),
-    "east": (-1, slice(None)),
-    "south": (slice(None), 0),
-    "north": (slice(None), -1),
-}
-
-
-def face_trace(field, face):
-    """Boundary trace of nodal data on one face of the reference square.
-
-    On GLL nodes the projection vectors e(+-1) are coordinate vectors, so the
-    trace is the corresponding boundary row/column of the nodal array.
-    """
-    try:
-        ix, iy = _FACE_SLICES[face]
-    except KeyError:
-        raise ValueError(f"unknown face {face!r}") from None
-    return np.asarray(field)[..., ix, iy]
-
-
-class AffineMap:
-    """Affine map between a physical rectangle and the reference square."""
-
-    def __init__(self, x0, x1, y0, y1):
-        if not (x1 > x0 and y1 > y0):
-            raise ValueError("element bounds must be increasing")
-        self.x0, self.x1, self.y0, self.y1 = x0, x1, y0, y1
-        self.dx = x1 - x0
-        self.dy = y1 - y0
-        self.qx = 2.0 / self.dx
-        self.ry = 2.0 / self.dy
-        self.jacobian = 0.25 * self.dx * self.dy
-
-    def to_physical(self, q, r):
-        return (self.x0 + 0.5 * self.dx * (1.0 + np.asarray(q)),
-                self.y0 + 0.5 * self.dy * (1.0 + np.asarray(r)))
-
-    def to_reference(self, x, y):
-        return (2.0 * (np.asarray(x) - self.x0) / self.dx - 1.0,
-                2.0 * (np.asarray(y) - self.y0) / self.dy - 1.0)

@@ -83,12 +83,3 @@ class PmlProfile:
             depth = (self.interior_extent - xi) / self.width
         depth = np.clip(depth, 0.0, 1.0)
         return self.d0 * depth ** self.exponent
-
-    def outer_edge(self):
-        if self.side == "high":
-            return self.interior_extent + self.width
-        return self.interior_extent - self.width
-
-
-def damping_at(profile, xi):
-    return profile.damping_at(xi)

@@ -44,6 +44,11 @@ def _require(cond, key, message):
         _fail(key, message)
 
 
+def _is_int(value):
+    # bool is an int subclass, but true/false is no degree or stride
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class PmlSettings:
     sides: tuple = ()
@@ -204,7 +209,7 @@ def from_dict(data):
              f"{dx} does not divide the y extent {y1 - y0}")
 
     degree = data.get("degree")
-    _require(isinstance(degree, int) and 1 <= degree <= 12, "degree",
+    _require(_is_int(degree) and 1 <= degree <= 12, "degree",
              "must be an integer in [1, 12]")
 
     medium_cfg = _validate_medium(data.get("medium"))
@@ -278,7 +283,7 @@ def from_dict(data):
 
     stride = data.get("history_stride")
     if stride is not None:
-        _require(isinstance(stride, int) and stride >= 1, "history_stride",
+        _require(_is_int(stride) and stride >= 1, "history_stride",
                  "must be a positive integer")
 
     return Scenario(

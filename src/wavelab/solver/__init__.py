@@ -6,7 +6,6 @@ from .fluxes import (
     hat_states_elastic,
     boundary_hat_acoustic,
     boundary_hat_elastic,
-    boundary_fluctuation,
 )
 from .core import (
     SimState,
@@ -24,7 +23,7 @@ from .core import (
 __all__ = [
     "Mesh", "build_mesh",
     "hat_states_acoustic", "hat_states_elastic",
-    "boundary_hat_acoustic", "boundary_hat_elastic", "boundary_fluctuation",
+    "boundary_hat_acoustic", "boundary_hat_elastic",
     "SimState", "SolverConfig", "RunRecord",
     "rhs", "timestep", "timestep_formula", "advance", "rk4_step", "run",
     "initial_state",

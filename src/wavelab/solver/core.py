@@ -70,127 +70,89 @@ def _volume_terms(mesh, U):
     return Vx, Vy
 
 
-def _x_fluctuations(mesh, U):
-    """Per-element FL/FR vectors on west/east faces, shape (K, L, m, n)."""
-    Uw = U[:, :, :, 0, :]
-    Ue = U[:, :, :, -1, :]
-    Zn = mesh.Z_normal["x"][..., None]
-    r_w = mesh.boundary_r["west"]
-    r_e = mesh.boundary_r["east"]
+# Per face-normal axis: the low and the high boundary side, and the trace
+# fields handed to the flux kernels, (p, v_n) for acoustics and
+# (T_n, T_t, v_n, v_t) for elasticity.
+_AXES = {
+    "x": ("west", "east", (0, 1), (2, 4, 0, 1)),
+    "y": ("south", "north", (0, 2), (3, 4, 1, 0)),
+}
+
+
+def _along(a, axis):
+    """``a`` itself for x; for y a view with the element axes swapped and, on
+    nodal arrays, the node axes too, so y faces sit where x faces do."""
+    if axis == "x":
+        return a
+    a = a.swapaxes(0, 1)
+    return a.swapaxes(3, 4) if a.ndim == 5 else a
+
+
+def _fluctuations(mesh, U, axis):
+    """Lifted fluctuations H^{-1} e(-1) FL and H^{-1} e(+1) FR on the low and
+    high faces of every element, each shaped like a face slice of
+    ``_along(U, axis)``."""
+    low, high, acoustic_fields, elastic_fields = _AXES[axis]
+    Z = [_along(mesh.Z_normal[axis], axis)[..., None]]
     if mesh.acoustic:
-        FR_i, FL_i = fluxes.acoustic_face_fluctuations(
-            "x",
-            Ue[:-1, :, 0], Ue[:-1, :, 1], Zn[:-1],
-            Uw[1:, :, 0], Uw[1:, :, 1], Zn[1:])
-        FL_b = fluxes.acoustic_boundary_fluctuation(
-            "x", "west", Uw[0, :, 0], Uw[0, :, 1], Zn[0], r_w)
-        FR_b = fluxes.acoustic_boundary_fluctuation(
-            "x", "east", Ue[-1, :, 0], Ue[-1, :, 1], Zn[-1], r_e)
+        fields = acoustic_fields
+        face = fluxes.acoustic_face_fluctuations
+        boundary = fluxes.acoustic_boundary_fluctuation
     else:
-        Zt = mesh.Z_tangential["x"][..., None]
-        args_m = (Ue[:-1, :, 2], Ue[:-1, :, 4], Ue[:-1, :, 0], Ue[:-1, :, 1],
-                  Zn[:-1], Zt[:-1])
-        args_p = (Uw[1:, :, 2], Uw[1:, :, 4], Uw[1:, :, 0], Uw[1:, :, 1],
-                  Zn[1:], Zt[1:])
-        FR_i, FL_i = fluxes.elastic_face_fluctuations("x", *args_m, *args_p)
-        FL_b = fluxes.elastic_boundary_fluctuation(
-            "x", "west", Uw[0, :, 2], Uw[0, :, 4], Uw[0, :, 0], Uw[0, :, 1],
-            Zn[0], Zt[0], r_w)
-        FR_b = fluxes.elastic_boundary_fluctuation(
-            "x", "east", Ue[-1, :, 2], Ue[-1, :, 4], Ue[-1, :, 0],
-            Ue[-1, :, 1], Zn[-1], Zt[-1], r_e)
-    FL = np.empty((mesh.K, mesh.L, mesh.m, mesh.n))
+        fields = elastic_fields
+        Z.append(_along(mesh.Z_tangential[axis], axis)[..., None])
+        face = fluxes.elastic_face_fluctuations
+        boundary = fluxes.elastic_boundary_fluctuation
+    V = _along(U, axis)
+    lo, hi = V[:, :, :, 0], V[:, :, :, -1]
+
+    def traces(values, elements):
+        return ([values[elements, :, f] for f in fields]
+                + [z[elements] for z in Z])
+
+    # in U's memory order, which keeps rhs's face updates on y fast
+    FL = _along(np.empty((mesh.K, mesh.L, mesh.m, mesh.n)), axis)
     FR = np.empty_like(FL)
-    FL[1:] = FL_i
-    FL[0] = FL_b
-    FR[:-1] = FR_i
-    FR[-1] = FR_b
-    return FL, FR
-
-
-def _y_fluctuations(mesh, U):
-    Us = U[:, :, :, :, 0]
-    Un = U[:, :, :, :, -1]
-    Zn = mesh.Z_normal["y"][..., None]
-    r_s = mesh.boundary_r["south"]
-    r_n = mesh.boundary_r["north"]
-    if mesh.acoustic:
-        FR_i, FL_i = fluxes.acoustic_face_fluctuations(
-            "y",
-            Un[:, :-1, 0], Un[:, :-1, 2], Zn[:, :-1],
-            Us[:, 1:, 0], Us[:, 1:, 2], Zn[:, 1:])
-        FL_b = fluxes.acoustic_boundary_fluctuation(
-            "y", "south", Us[:, 0, 0], Us[:, 0, 2], Zn[:, 0], r_s)
-        FR_b = fluxes.acoustic_boundary_fluctuation(
-            "y", "north", Un[:, -1, 0], Un[:, -1, 2], Zn[:, -1], r_n)
-    else:
-        Zt = mesh.Z_tangential["y"][..., None]
-        args_m = (Un[:, :-1, 3], Un[:, :-1, 4], Un[:, :-1, 1], Un[:, :-1, 0],
-                  Zn[:, :-1], Zt[:, :-1])
-        args_p = (Us[:, 1:, 3], Us[:, 1:, 4], Us[:, 1:, 1], Us[:, 1:, 0],
-                  Zn[:, 1:], Zt[:, 1:])
-        FR_i, FL_i = fluxes.elastic_face_fluctuations("y", *args_m, *args_p)
-        FL_b = fluxes.elastic_boundary_fluctuation(
-            "y", "south", Us[:, 0, 3], Us[:, 0, 4], Us[:, 0, 1], Us[:, 0, 0],
-            Zn[:, 0], Zt[:, 0], r_s)
-        FR_b = fluxes.elastic_boundary_fluctuation(
-            "y", "north", Un[:, -1, 3], Un[:, -1, 4], Un[:, -1, 1],
-            Un[:, -1, 0], Zn[:, -1], Zt[:, -1], r_n)
-    FL = np.empty((mesh.K, mesh.L, mesh.m, mesh.n))
-    FR = np.empty_like(FL)
-    FL[:, 1:] = FL_i
-    FL[:, 0] = FL_b
-    FR[:, :-1] = FR_i
-    FR[:, -1] = FR_b
-    return FL, FR
-
-
-def _injection_x(mesh, FL, FR):
-    """H_x^{-1} (e(-1) FL + e(+1) FR), nonzero only on face nodes."""
-    F = np.zeros((mesh.K, mesh.L, mesh.m, mesh.n, mesh.n))
+    FR[:-1], FL[1:] = face(axis, *traces(hi, np.s_[:-1]),
+                           *traces(lo, np.s_[1:]))
+    for side, trace, F, k in ((low, lo, FL, 0), (high, hi, FR, -1)):
+        F[k] = boundary(axis, side, *traces(trace, k), mesh.boundary_r[side])
     h = mesh.ref.weights
-    scale = mesh.qx[:, None, None, None]
-    F[:, :, :, 0, :] = scale * FL / h[0]
-    F[:, :, :, -1, :] = scale * FR / h[-1]
-    return F
-
-
-def _injection_y(mesh, FL, FR):
-    F = np.zeros((mesh.K, mesh.L, mesh.m, mesh.n, mesh.n))
-    h = mesh.ref.weights
-    scale = mesh.ry[None, :, None, None]
-    F[:, :, :, :, 0] = scale * FL / h[0]
-    F[:, :, :, :, -1] = scale * FR / h[-1]
-    return F
+    scale = (mesh.qx if axis == "x" else mesh.ry)[:, None, None, None]
+    return scale * FL / h[0], scale * FR / h[-1]
 
 
 def rhs(state, mesh, config):
     """Time derivatives (dU, dw_x, dw_y) of the semi-discrete system."""
     U = state.U
     Vx, Vy = _volume_terms(mesh, U)
-    Fx = _injection_x(mesh, *_x_fluctuations(mesh, U))
-    Fy = _injection_y(mesh, *_y_fluctuations(mesh, U))
+    lifts = [_fluctuations(mesh, U, axis) for axis in "xy"]
 
-    body = Vx + Vy - Fx - Fy
-    ax = mesh.active_x
-    ay = mesh.active_y
-    if ax.size:
-        dx_nodes = mesh.d_x[ax][:, None, None, :, None]
-        body[ax] -= dx_nodes * state.w_x
-        dw_x = (Vx[ax] - (dx_nodes + mesh.alpha_x) * state.w_x
-                - config.theta_x * Fx[ax])
-    else:
-        dw_x = np.zeros_like(state.w_x)
-    if ay.size:
-        dy_nodes = mesh.d_y[ay][None, :, None, None, :]
-        body[:, ay] -= dy_nodes * state.w_y
-        dw_y = (Vy[:, ay] - (dy_nodes + mesh.alpha_y) * state.w_y
-                - config.theta_y * Fy[:, ay])
-    else:
-        dw_y = np.zeros_like(state.w_y)
+    body = Vx + Vy
+    for axis, (lift_lo, lift_hi) in zip("xy", lifts):
+        faces = _along(body, axis)
+        faces[:, :, :, 0] -= lift_lo
+        faces[:, :, :, -1] -= lift_hi
+    layers = ((Vx, state.w_x, mesh.d_x, mesh.alpha_x, mesh.active_x,
+               config.theta_x),
+              (Vy, state.w_y, mesh.d_y, mesh.alpha_y, mesh.active_y,
+               config.theta_y))
+    dw = []
+    for axis, (lift_lo, lift_hi), (V, w, d, alpha, active, theta) in zip(
+            "xy", lifts, layers):
+        if not active.size:
+            dw.append(np.zeros_like(w))
+            continue
+        d_nodes = d[active][:, None, None, :, None]
+        w = _along(w, axis)
+        _along(body, axis)[active] -= d_nodes * w
+        dw_axis = _along(V, axis)[active] - (d_nodes + alpha) * w
+        dw_axis[:, :, :, 0] -= theta * lift_lo[active]
+        dw_axis[:, :, :, -1] -= theta * lift_hi[active]
+        dw.append(_along(dw_axis, axis))
 
     dU = np.einsum("klab,klbij->klaij", mesh.Pmat, body)
-    return dU, dw_x, dw_y
+    return dU, dw[0], dw[1]
 
 
 # -- time stepping ------------------------------------------------------------

@@ -58,25 +58,6 @@ def boundary_hat_elastic(T, v, Z, r, is_max_side):
     return 0.5 * (1.0 - r) * w, 0.5 * (1.0 + r) * w / Z
 
 
-def boundary_fluctuation(trace, side, r, Z, acoustic=True):
-    """Boundary-condition residual G evaluated on a trace.
-
-    ``trace`` is (p, v_n) for acoustics or (T_eta, v_eta) for elasticity,
-    measured along the face-normal axis.  G vanishes exactly when the trace
-    satisfies the boundary condition; the solver injects it with weight 1/Z
-    into the pressure/traction equation and weight 1 into the velocity
-    equation (with a face-dependent sign for the former).
-    """
-    is_max = side in ("east", "north")
-    if acoustic:
-        p, vn = trace
-        sgn = -1.0 if is_max else 1.0
-        return 0.5 * (1.0 - r) * Z * vn + sgn * 0.5 * (1.0 + r) * p
-    T, v = trace
-    sgn = 1.0 if is_max else -1.0
-    return 0.5 * (1.0 - r) * Z * v + sgn * 0.5 * (1.0 + r) * T
-
-
 def _acoustic_delta_to_fluct(dp, dvn, axis_index):
     """Map hat-minus-trace differences through A_axis for acoustics.
 

@@ -81,21 +81,20 @@ def test_receiver_sample_nodal_and_polynomial_exactness():
     mesh = build_mesh(0.0, 2.0, 0.0, 2.0, 1.0, 3,
                       lambda x, y: media.AcousticMedium(1.0, 1.0), R1)
     X, Y = mesh.node_coordinates()
-    U = np.zeros((mesh.K, mesh.L, 3, mesh.n, mesh.n))
-    U[:, :, 0] = 7.0          # constant
-    U[:, :, 1] = X            # linear, reproduced exactly for N >= 1
-    # nodal hit
-    x = mesh.xn[0, 2]
+    st = zero_state(mesh)
+    st.U[:, :, 0] = 7.0          # constant
+    st.U[:, :, 1] = X            # linear, reproduced exactly for N >= 1
+    x = mesh.xn[0, 2]            # nodal hit
     y = mesh.yn[1, 1]
-    vals = diagnostics.receiver_sample(U, mesh, (x, y))
-    assert vals[0] == pytest.approx(7.0)
-    assert vals[1] == pytest.approx(x, abs=1e-13)
-    # arbitrary point
-    vals = diagnostics.receiver_sample(U, mesh, (0.377, 1.612))
-    assert vals[0] == pytest.approx(7.0, abs=1e-13)
-    assert vals[1] == pytest.approx(0.377, abs=1e-13)
+    cfg = SolverConfig(final_time=1e-9)
+    rec = run(mesh, cfg, initial=st, receivers=[(x, y), (0.377, 1.612)])
+    nodal, arbitrary = rec.receiver_series[:, 0]
+    assert nodal[0] == pytest.approx(7.0)
+    assert nodal[1] == pytest.approx(x, abs=1e-13)
+    assert arbitrary[0] == pytest.approx(7.0, abs=1e-13)
+    assert arbitrary[1] == pytest.approx(0.377, abs=1e-13)
     with pytest.raises(ValueError):
-        diagnostics.receiver_sample(U, mesh, (5.0, 0.5))
+        run(mesh, cfg, initial=st, receivers=[(5.0, 0.5)])
 
 
 def test_pml_error_of_run_against_itself_is_zero():

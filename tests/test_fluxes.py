@@ -59,31 +59,43 @@ def test_elastic_hat_preserves_outgoing_characteristics():
 def test_boundary_fluctuation_vanishes_on_satisfied_condition():
     Z, r = 2.0, 0.4
     # acoustic east condition: (1-r)/2 Z v = (1+r)/2 p
-    p = 1.0
+    p = np.array([1.0])
     v = (1.0 + r) / (1.0 - r) * p / Z
-    g = fluxes.boundary_fluctuation((p, v), "east", r, Z, acoustic=True)
-    assert g == pytest.approx(0.0, abs=1e-15)
-    # elastic west condition: (1-r)/2 Z v = (1+r)/2 T
-    T = -0.7
-    v = (1.0 + r) / (1.0 - r) * T / Z
-    g = fluxes.boundary_fluctuation((T, v), "west", r, Z, acoustic=False)
-    assert g == pytest.approx(0.0, abs=1e-15)
+    F = fluxes.acoustic_boundary_fluctuation("x", "east", p, v, Z, r)
+    assert np.max(np.abs(F)) < 1e-15
+    # elastic south condition on both pairs: (1-r)/2 Z v = (1+r)/2 T
+    Zt = 1.3
+    Tn, Tt = np.array([-0.7]), np.array([0.4])
+    vn = (1.0 + r) / (1.0 - r) * Tn / Z
+    vt = (1.0 + r) / (1.0 - r) * Tt / Zt
+    F = fluxes.elastic_boundary_fluctuation("y", "south", Tn, Tt, vn, vt,
+                                            Z, Zt, r)
+    assert np.max(np.abs(F)) < 1e-15
 
 
 def test_boundary_fluctuation_hard_wall_penalizes_pressure_only():
-    g_east = fluxes.boundary_fluctuation((0.3, 1.7), "east", 1.0, 2.0)
-    g_west = fluxes.boundary_fluctuation((0.3, 1.7), "west", 1.0, 2.0)
-    assert g_east == pytest.approx(-0.3)
-    assert g_west == pytest.approx(0.3)
+    """With r = 1 (p = 0) the fluctuation depends on the pressure trace
+    alone; the velocity row receives -+p on the east/west face."""
+    p, Z = np.array([0.3]), 2.0
+    for v in (1.7, -2.0):
+        v = np.array([v])
+        F_east = fluxes.acoustic_boundary_fluctuation("x", "east", p, v, Z,
+                                                      1.0)
+        F_west = fluxes.acoustic_boundary_fluctuation("x", "west", p, v, Z,
+                                                      1.0)
+        assert np.allclose(F_east[:, 0], [0.15, -0.3, 0.0], atol=1e-15)
+        assert np.allclose(F_west[:, 0], [0.15, 0.3, 0.0], atol=1e-15)
 
 
 def test_boundary_fluctuation_absorbing_lets_outgoing_waves_exit():
     # normally incident outgoing wave at the east face: p = Z v
-    g = fluxes.boundary_fluctuation((2.0, 1.0), "east", 0.0, 2.0)
-    assert g == pytest.approx(0.0)
+    F = fluxes.acoustic_boundary_fluctuation(
+        "x", "east", np.array([2.0]), np.array([1.0]), 2.0, 0.0)
+    assert np.max(np.abs(F)) == pytest.approx(0.0)
     # same at the west face with the left-going characteristic
-    g = fluxes.boundary_fluctuation((2.0, -1.0), "west", 0.0, 2.0)
-    assert g == pytest.approx(0.0)
+    F = fluxes.acoustic_boundary_fluctuation(
+        "x", "west", np.array([2.0]), np.array([-1.0]), 2.0, 0.0)
+    assert np.max(np.abs(F)) == pytest.approx(0.0)
 
 
 def test_boundary_hats_satisfy_condition_and_keep_outgoing():

@@ -69,71 +69,6 @@ def test_degree_bounds_rejected():
         ops.gll_nodes_weights(13)
 
 
-def test_tensor_apply_linear_field():
-    ref = ops.ReferenceElement1D(3)
-    q = ref.nodes
-    f = np.broadcast_to(q[:, None], (4, 4)).copy()  # f(q, r) = q
-    # element of width 2: metric 2/dx = 1
-    df = ops.tensor_apply(ref.D, 0, f, metric=1.0)
-    assert np.allclose(df, 1.0, atol=1e-13)
-
-
-def test_tensor_apply_mixed_derivative():
-    ref = ops.ReferenceElement1D(4)
-    q = ref.nodes
-    f = np.outer(q, q)  # f = q r
-    dq = ops.tensor_apply(ref.D, 0, f)
-    dqr = ops.tensor_apply(ref.D, 1, dq)
-    assert np.allclose(dqr, 1.0, atol=1e-12)
-
-
-def test_tensor_apply_matches_dense_kronecker():
-    rng = np.random.default_rng(11)
-    ref = ops.ReferenceElement1D(4)
-    n = 5
-    f = rng.normal(size=(3, n, n))
-    eye = np.eye(n)
-    kron_x = np.kron(ref.D, eye)
-    kron_y = np.kron(eye, ref.D)
-    for axis, kron in ((0, kron_x), (1, kron_y)):
-        got = ops.tensor_apply(ref.D, axis, f, metric=0.4)
-        want = 0.4 * (kron @ f.reshape(3, n * n).T).T.reshape(3, n, n)
-        assert np.max(np.abs(got - want)) < 1e-13
-
-
-def test_tensor_apply_shape_mismatch():
-    ref = ops.ReferenceElement1D(3)
-    with pytest.raises(ValueError):
-        ops.tensor_apply(ref.D, 0, np.zeros((3, 5, 4)))
-    with pytest.raises(ValueError):
-        ops.tensor_apply(ref.D, 2, np.zeros((3, 4, 4)))
-
-
-def test_face_trace_constant_and_linear():
-    ref = ops.ReferenceElement1D(4)
-    n = 5
-    const = np.full((n, n), 7.0)
-    for face in ("west", "east", "south", "north"):
-        assert np.all(ops.face_trace(const, face) == 7.0)
-    f = np.broadcast_to(ref.nodes[:, None], (n, n))
-    assert np.all(ops.face_trace(f, "west") == -1.0)
-    assert np.all(ops.face_trace(f, "east") == 1.0)
-
-
-def test_face_trace_matches_lagrange_contraction():
-    rng = np.random.default_rng(5)
-    ref = ops.ReferenceElement1D(6)
-    f = rng.normal(size=(7, 7))
-    eL = ops.lagrange_eval(ref.nodes, -1.0)
-    eR = ops.lagrange_eval(ref.nodes, 1.0)
-    assert np.allclose(ops.face_trace(f, "west"), eL @ f, atol=1e-14)
-    assert np.allclose(ops.face_trace(f, "east"), eR @ f, atol=1e-14)
-    assert np.allclose(ops.face_trace(f, "south"), f @ eL, atol=1e-14)
-    assert np.allclose(ops.face_trace(f, "north"), f @ eR, atol=1e-14)
-    with pytest.raises(ValueError):
-        ops.face_trace(f, "up")
-
-
 def test_lagrange_eval_reproduces_polynomials():
     ref = ops.ReferenceElement1D(5)
     coeffs = np.array([0.3, -1.2, 0.5, 2.0, -0.7, 0.1])
@@ -141,15 +76,3 @@ def test_lagrange_eval_reproduces_polynomials():
     for x in (-0.83, 0.0, 0.31, 0.999):
         e = ops.lagrange_eval(ref.nodes, x)
         assert abs(e @ vals - np.polyval(coeffs, x)) < 1e-12
-
-
-def test_affine_map_roundtrip():
-    amap = ops.AffineMap(2.0, 5.0, -1.0, 3.0)
-    assert amap.jacobian == pytest.approx(3.0 * 4.0 / 4.0)
-    x, y = amap.to_physical(-1.0, 1.0)
-    assert (x, y) == (2.0, 3.0)
-    q, r = amap.to_reference(3.5, 1.0)
-    assert q == pytest.approx(0.0)
-    assert r == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        ops.AffineMap(1.0, 1.0, 0.0, 1.0)

@@ -41,7 +41,6 @@ def test_low_side_profile_mirrors():
     assert prof.damping_at(-49.0) == 0.0
     assert prof.damping_at(-55.0) == pytest.approx(2.0 / 8.0)
     assert prof.damping_at(-60.0) == pytest.approx(2.0)
-    assert prof.outer_edge() == pytest.approx(-60.0)
 
 
 def test_perfectly_matched_junction():

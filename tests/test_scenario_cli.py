@@ -96,6 +96,14 @@ def test_theta_out_of_range_rejected():
         scenario.from_dict(tiny_scenario_dict(theta={"x": 1.5}))
 
 
+@pytest.mark.parametrize("key", ["degree", "history_stride"])
+def test_bool_integer_keys_rejected(key):
+    # validation only: building a mesh with degree=True grows the GLL
+    # Newton arrays without bound
+    with pytest.raises(ConfigurationError, match=key):
+        scenario.from_dict(tiny_scenario_dict(**{key: True}))
+
+
 def test_receiver_outside_mesh_rejected():
     sc = scenario.from_dict(tiny_scenario_dict(receivers=[[9.0, 1.0]]))
     with pytest.raises(ConfigurationError, match="receivers"):
@@ -192,6 +200,24 @@ def test_run_preset_stability_analysis(tmp_path):
 def test_unknown_preset_rejected():
     with pytest.raises(ConfigurationError):
         cli.run_preset("no-such-preset")
+
+
+def test_convergence_study_name_runs_the_sweep(tmp_path, monkeypatch):
+    calls = []
+
+    def sweep(out_dir=None):
+        calls.append(out_dir)
+        return {"swept": True}
+
+    monkeypatch.setattr(cli, "convergence_study", sweep)
+    out = str(tmp_path / "cs")
+    assert cli.run_preset("convergence-study", out_dir=out) == (
+        cli.EXIT_OK, {"swept": True})
+    assert cli.main(["run", "convergence-study", "--out", out]) == cli.EXIT_OK
+    assert calls == [out, out]
+    with pytest.raises(ConfigurationError, match="final_time"):
+        cli.run_preset("convergence-study", final_time=1.0)
+    assert not list(tmp_path.iterdir())
 
 
 def test_run_preset_waveguide_shortened(tmp_path):

@@ -256,3 +256,44 @@ def test_piecewise_media_interface_is_stable_and_consistent():
         E_new = diagnostics.discrete_energy(st.U, mesh)
         assert E_new <= E * (1.0 + 1e-12)
         E = E_new
+
+
+# x <-> y mirror image of each field: acoustic (p, vx, vy), elastic
+# (vx, vy, sxx, syy, sxy)
+MIRROR_FIELDS = {3: [0, 2, 1], 5: [1, 0, 3, 2, 4]}
+
+
+def _mirror(a):
+    return a[:, :, MIRROR_FIELDS[a.shape[2]]].transpose(1, 0, 2, 4, 3)
+
+
+@pytest.mark.parametrize("med", [ACOUSTIC, ISO], ids=["acoustic", "elastic"])
+def test_rhs_mirror_symmetric_between_x_and_y_layers(med):
+    """A layer on north is the mirror image of a layer on east, so the y
+    flux, lift and damping path must reproduce the x path transposed."""
+    d0 = pml.damping_strength(6.0, 10.0, 1e-3)
+    r = {"west": 0.3, "east": -0.4, "south": 0.6, "north": -0.2}
+    r_mirror = {"west": r["south"], "east": r["north"],
+                "south": r["west"], "north": r["east"]}
+
+    def mesh_with(axis, boundary_r):
+        prof = pml.PmlProfile(axis=axis, interior_extent=10.0, width=10.0,
+                              d0=d0, alpha=0.15, gamma=1.5)
+        x1, y1 = (20.0, 10.0) if axis == "x" else (10.0, 20.0)
+        return build_mesh(0.0, x1, 0.0, y1, 5.0, 3, lambda x, y: med,
+                          boundary_r, profiles=[prof])
+
+    east, north = mesh_with("x", r), mesh_with("y", r_mirror)
+    rng = np.random.default_rng(9)
+    st = zero_state(east)
+    st.U[:] = rng.normal(size=st.U.shape)
+    st.w_x[:] = rng.normal(size=st.w_x.shape)
+    mirrored = zero_state(north)
+    mirrored.U[:] = _mirror(st.U)
+    mirrored.w_y[:] = _mirror(st.w_x)
+
+    dU, dw_x, _ = rhs(st, east, SolverConfig(theta_x=0.7, theta_y=0.2))
+    dU_m, _, dw_y_m = rhs(mirrored, north,
+                          SolverConfig(theta_x=0.2, theta_y=0.7))
+    for got, want in ((dU_m, _mirror(dU)), (dw_y_m, _mirror(dw_x))):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
