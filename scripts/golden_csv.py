@@ -13,7 +13,10 @@ the five shipped presets, shortened, plus variants that no preset exercises:
 a PML on all four sides (corners included) with gamma != 1, theta below 1 on
 both axes, fractional reflection coefficients, snapshots and two receivers,
 for each medium preset; and two-media interfaces on x and on y with layers on
-east and north.  Output lines are ``<sha256>  <scenario>/<file>``, sorted.
+east and north.  One ``cli.compare_abc`` case runs the acoustic waveguide's
+PML, ABC and reference runs, which record field history, and hashes their
+``error_series.csv``.  Output lines are ``<sha256>  <scenario>/<file>``,
+sorted.
 """
 
 import hashlib
@@ -24,6 +27,7 @@ from wavelab import cli, scenario
 
 PRESET_TIME = 6.0
 SHORT_PRESET_TIME = {"convergence-study": 0.7}
+ABC_TIME = 20.0
 
 
 def _variant(name, medium, sides, gamma=1.0, **extra):
@@ -67,12 +71,18 @@ def scenarios():
 def main():
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
+        outs = []
         for sc in scenarios():
-            out = Path(tmp) / sc.name
-            cli.run_scenario_with_artifacts(sc, out)
+            outs.append(Path(tmp) / sc.name)
+            cli.run_scenario_with_artifacts(sc, outs[-1])
+        outs.append(Path(tmp) / "abc-comparison")
+        cli.compare_abc(scenario.with_overrides(
+            scenario.load_preset("acoustic-waveguide"), final_time=ABC_TIME),
+            outs[-1])
+        for out in outs:
             for path in sorted(out.glob("*.csv")):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                lines.append(f"{digest}  {sc.name}/{path.name}")
+                lines.append(f"{digest}  {out.name}/{path.name}")
     print("\n".join(sorted(lines, key=lambda s: s.split("  ")[1])))
 
 

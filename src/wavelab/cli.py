@@ -309,7 +309,7 @@ def main(argv=None):
             sc = _load_scenario_arg(args.scenario)
             sc = scenario_mod.with_overrides(sc, **overrides)
             record = run_scenario_with_artifacts(sc, args.out)
-            print(f"completed {sc.name}: {record.n_steps} steps, "
+            print(f"completed {sc.name}: {len(record.times) - 1} steps, "
                   f"dt={record.dt:.6g} s, final linf={record.linf[-1]:.6g}")
             return EXIT_OK
         if args.command == "analyze":

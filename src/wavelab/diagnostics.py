@@ -94,8 +94,9 @@ def pml_error(record, reference, interior_box, horizon=None, field=None):
         raise ValueError(
             f"interior histories have different shapes {A.shape} vs {B.shape}")
     if horizon is not None:
-        keep = ta <= horizon + 1e-12
-        ta, A, B = ta[keep], A[keep], B[keep]
+        # times increase, so the samples within the horizon are a prefix
+        keep = int(np.searchsorted(ta, horizon + 1e-12, side="right"))
+        ta, A, B = ta[:keep], A[:keep], B[:keep]
 
     diff = A - B
     if field is None:

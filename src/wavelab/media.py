@@ -102,7 +102,7 @@ class ElasticMedium2D:
 
     def __post_init__(self):
         ok = (self.rho > 0 and self.c11 > 0 and self.c33 > 0
-              and self.c11 * self.c22 - self.c12 ** 2 > 0)
+              and self.c11 * self.c22 - self.c12 * self.c12 > 0)
         if not ok:
             raise InvalidMediumError(
                 "elastic medium needs rho > 0 and SPD stiffness "
@@ -167,24 +167,23 @@ def is_acoustic(medium):
 
 
 # Named presets carrying the reference experiment values.
-def _presets():
-    return {
-        # waveguide sound speed 1.484 km/s at unit density (kappa = rho c^2)
-        "acoustic-484": AcousticMedium(rho=1.0, kappa=2.202256),
-        "iso-table1": ElasticMedium2D(rho=2.7, c11=97.20, c12=36.85,
-                                      c22=97.20, c33=30.17),
-        "am1-table1": ElasticMedium2D(rho=20.0 / 36.0, c11=20.0, c12=3.8,
-                                      c22=4.0, c33=2.0),
-    }
+PRESETS = {
+    # waveguide sound speed 1.484 km/s at unit density (kappa = rho c^2)
+    "acoustic-484": AcousticMedium(rho=1.0, kappa=2.202256),
+    "iso-table1": ElasticMedium2D(rho=2.7, c11=97.20, c12=36.85,
+                                  c22=97.20, c33=30.17),
+    "am1-table1": ElasticMedium2D(rho=20.0 / 36.0, c11=20.0, c12=3.8,
+                                  c22=4.0, c33=2.0),
+}
 
 
 def preset(name):
     try:
-        return _presets()[name]
+        return PRESETS[name]
     except KeyError:
         raise InvalidMediumError(
             f"unknown medium preset {name!r}; "
-            f"available: {sorted(_presets())}") from None
+            f"available: {sorted(PRESETS)}") from None
 
 
 def from_config(cfg):

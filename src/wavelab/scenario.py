@@ -2,13 +2,18 @@
 
 A scenario pins the interior domain box, element size, degree, media, PML
 layers, stabilization weights, boundary reflection coefficients and the run
-protocol.  The mesh extends beyond the interior box by the layer width on
-each PML side.
+protocol; the mesh extends beyond the box by the layer width on each PML
+side.  ``SCHEMA`` has one row per key: its kind, which carries its range,
+and its default.  ``from_dict`` reads a scenario through it in one walk that
+checks and resolves each value, then checks the rules that relate keys.
 """
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import fields
 from importlib import resources
+from numbers import Integral, Real
+from types import SimpleNamespace
 
 from . import media as media_mod
 from . import pml as pml_mod
@@ -17,297 +22,302 @@ from .solver import SolverConfig, build_mesh
 
 SCHEMA_VERSION = 1
 
-PRESET_SCENARIOS = (
-    "acoustic-waveguide",
-    "elastic-iso-waveguide",
-    "elastic-aniso-waveguide",
-    "reference-run",
-    "convergence-study",
-)
+PRESET_SCENARIOS = ("acoustic-waveguide", "elastic-iso-waveguide",
+                    "elastic-aniso-waveguide", "reference-run",
+                    "convergence-study")
 
 _SIDES = ("west", "east", "south", "north")
 
-_TOP_KEYS = {
-    "schema", "name", "domain", "element_size", "degree", "medium", "pml",
-    "theta", "boundaries", "cfl", "final_time", "stop_time", "initial",
-    "receivers", "snapshot_times", "record_fields", "history_stride",
-    "divergence_factor", "output_dir",
-}
+
+# -- kinds: each reads a value, checks it and returns it resolved -------------
+class Invalid(Exception):
+    """A value that breaks its row; ``path`` gathers its keys, innermost
+    first, as it passes out through objects and lists."""
+    def __init__(self, message, *path):
+        super().__init__(message)
+        self.path = list(path)
 
 
-def _fail(key, message):
-    raise ConfigurationError(f"{key}: {message}")
+REQUIRED = object()  # the default of a key that must be given
 
 
-def _require(cond, key, message):
-    if not cond:
-        _fail(key, message)
+def number(interval="(-inf, inf)", whole=False):
+    """A number in an interval such as "(0, 1]", never a bool; an int if
+    ``whole``.  Open ends become the nearest float inside: inf never fits."""
+    lo, hi = (float(b) for b in interval[1:-1].split(","))
+    lo = math.nextafter(lo, math.inf) if interval[0] == "(" else lo
+    hi = math.nextafter(hi, -math.inf) if interval[-1] == ")" else hi
+    cast, abc = (int, Integral) if whole else (float, Real)
+
+    def read(value):
+        t = type(value)
+        if t not in (cast, int) and (t is bool or not isinstance(value, abc)):
+            raise Invalid(f"must be {'an integer' if whole else 'a number'}"
+                          f", got {value!r}")
+        if not lo <= value <= hi:
+            raise Invalid(f"must lie in {interval}, got {value!r}")
+        return value if t is cast else cast(value)
+    return read
 
 
-def _is_int(value):
-    # bool is an int subclass, but true/false is no degree or stride
-    return isinstance(value, int) and not isinstance(value, bool)
+def of_type(cls, what):
+    def read(value):
+        if not isinstance(value, cls):
+            raise Invalid(f"must be {what}, got {value!r}")
+        return value
+    return read
 
 
-@dataclass
-class PmlSettings:
-    sides: tuple = ()
-    width: float = 10.0
-    tol: float = pml_mod.DEFAULT_TOL
-    alpha: float = pml_mod.DEFAULT_ALPHA
-    gamma: float = 1.0
-    exponent: int = pml_mod.DEFAULT_EXPONENT
-    d0: float | None = None  # explicit override of the tol-derived strength
+def one_of(*choices):
+    def read(value):
+        if isinstance(value, bool) or value not in choices:
+            raise Invalid(f"must be one of {', '.join(map(repr, choices))}"
+                          f", got {value!r}")
+        return value
+    return read
 
 
-@dataclass
-class Scenario:
-    name: str
-    domain: tuple               # (x0, x1, y0, y1) interior extents
-    element_size: float
-    degree: int
-    medium_cfg: dict
-    pml: PmlSettings = field(default_factory=PmlSettings)
-    theta_x: float = 1.0
-    theta_y: float = 1.0
-    boundaries: dict = field(default_factory=lambda: {s: 0.0 for s in _SIDES})
-    cfl: float = 0.9
-    final_time: float = 1.0
-    stop_time: float | None = None
-    initial: dict = field(default_factory=lambda: {"type": "gaussian-pulse"})
-    receivers: tuple = ()
-    snapshot_times: tuple = ()
-    record_fields: bool = False
-    history_stride: int | None = None
-    divergence_factor: float = 1e4
-    output_dir: str | None = None
-    raw: dict = field(default_factory=dict)
+def list_of(item, length=None, unique=False):
+    """A list of ``item`` values, read to a tuple."""
+    def read(value):
+        if not isinstance(value, (list, tuple)) or (
+                length and len(value) != length):
+            of = f" of {length} items" if length else ""
+            raise Invalid(f"must be a list{of}, got {value!r}")
+        out = []
+        try:
+            for v in value:
+                v = item(v)
+                if unique and v in out:
+                    raise Invalid(f"repeats {v!r}")
+                out.append(v)
+        except Invalid as exc:
+            exc.path.append(len(out))
+            raise
+        return tuple(out)
+    return read
 
-    # -- assembly ---------------------------------------------------------
+
+def obj(rows):
+    """A JSON object whose keys are the rows of a table, key -> (kind,
+    default).  Defaults are read once, here.  A REQUIRED key must be given; a
+    key with default None is optional and reads to None when absent or null."""
+    reads = {key: kind if default is not None else
+             (lambda v, kind=kind: None if v is None else kind(v))
+             for key, (kind, default) in rows.items()}
+    defaults = {key: None if default in (None, REQUIRED) else kind(default)
+                for key, (kind, default) in rows.items()}
+    required = [key for key, (_, d) in rows.items() if d is REQUIRED]
+    nested = [key for key, d in defaults.items() if type(d) is dict]
+
+    def read(value):
+        if not isinstance(value, dict):
+            raise Invalid(f"must be an object, got {value!r}")
+        out = defaults.copy()
+        try:
+            for key, v in value.items():
+                if key not in reads:
+                    raise Invalid("unknown configuration key")
+                out[key] = reads[key](v)
+            if len(value) < len(rows):  # some keys are absent
+                for key in required:
+                    if key not in value:
+                        raise Invalid("is required")
+                for key in nested:  # a nested object's defaults, copied
+                    if key not in value:
+                        out[key] = dict(out[key])
+        except Invalid as exc:
+            exc.path.append(key)
+            raise
+        return out
+    return read
+
+
+_MEDIUM_SPECS = {kind: obj({"type": (one_of(kind), REQUIRED)} | {
+    f.name: (number(), REQUIRED) for f in fields(cls)}) for kind, cls in (
+        ("acoustic", media_mod.AcousticMedium),
+        ("elastic", media_mod.ElasticMedium2D))}
+_MEDIUM_SPECS["preset"] = obj({"preset": (one_of(*media_mod.PRESETS),
+                                          REQUIRED)})
+
+
+def medium(value):
+    """One medium, read to the medium object: a preset name, ``{"preset":
+    name}`` or acoustic or elastic parameters, which the medium checks."""
+    spec = {"preset": value} if isinstance(value, str) else value
+    if not isinstance(spec, dict):
+        raise Invalid("must be a medium preset name or an object")
+    kind = "preset" if "preset" in spec else spec.get("type")
+    if not (isinstance(kind, str) and kind in _MEDIUM_SPECS):
+        raise Invalid(f"must be 'acoustic' or 'elastic', got {kind!r}", "type")
+    _MEDIUM_SPECS[kind](spec)
+    return media_mod.from_config(value)
+
+
+_TWO_MEDIA = obj({
+    "two": (list_of(medium, length=2), REQUIRED),
+    "interface": (obj({"axis": (one_of("x", "y"), REQUIRED),
+                       "position": (number(), REQUIRED)}), REQUIRED)})
+
+
+def media(value):
+    """The medium key: one medium, or two split at an interface; read to
+    (media, (axis, position) or None)."""
+    if isinstance(value, dict) and "two" in value:
+        v = _TWO_MEDIA(value)
+        return v["two"], (v["interface"]["axis"], v["interface"]["position"])
+    return (medium(value),), None
+
+
+_RANGE = list_of(number(), length=2)
+_POSITIVE = number("(0, inf)")
+_COUNT = number("[1, inf)", whole=True)
+_UNIT = number("[0, 1]")
+_STRING = of_type(str, "a string")
+
+SCHEMA = obj({
+    "schema": (one_of(SCHEMA_VERSION), REQUIRED),
+    "name": (_STRING, "scenario"),
+    "domain": (obj({"x": (_RANGE, REQUIRED), "y": (_RANGE, REQUIRED)}),
+               REQUIRED),
+    "element_size": (_POSITIVE, REQUIRED),
+    "degree": (number("[1, 12]", whole=True), REQUIRED),
+    "medium": (media, REQUIRED),
+    "pml": (obj({
+        "sides": (list_of(one_of(*_SIDES), unique=True), ()),
+        "width": (_POSITIVE, 10.0),
+        "tol": (number("(0, 1]"), pml_mod.DEFAULT_TOL),
+        "alpha": (number("[0, inf)"), pml_mod.DEFAULT_ALPHA),
+        "gamma": (_POSITIVE, 1.0),
+        "exponent": (_COUNT, pml_mod.DEFAULT_EXPONENT),
+        "d0": (number("[0, inf)"), None),  # overrides the tol-derived d0
+    }), {}),
+    "theta": (obj({"x": (_UNIT, 1.0), "y": (_UNIT, 1.0)}), {}),
+    "boundaries": (obj({s: (number("[-1, 1]"), 0.0) for s in _SIDES}), {}),
+    "cfl": (number("(0, 1]"), 0.9),
+    "final_time": (_POSITIVE, 1.0),
+    "stop_time": (_POSITIVE, None),  # at most final_time
+    "initial": (obj({
+        "type": (one_of("gaussian-pulse", "standing-mode", "zero"),
+                 "gaussian-pulse"),
+        "center": (_RANGE, None),  # None: x = 0, mid-height of the domain
+        "width_sq": (_POSITIVE, 9.0),
+        "nx": (_COUNT, 1),
+        "ny": (_COUNT, 1),
+    }), {}),
+    "receivers": (list_of(_RANGE), ()),  # inside the mesh
+    "snapshot_times": (list_of(number("[0, inf)")), ()),  # to final_time
+    "record_fields": (of_type(bool, "true or false"), False),
+    "history_stride": (_COUNT, None),
+    "divergence_factor": (number("(1, inf)"), 1e4),
+    "output_dir": (_STRING, None),
+})
+
+
+def _element_count(span, size):
+    """span / size when that is a whole number, else None."""
+    ratio = span / size
+    n = round(ratio) if math.isfinite(ratio) else math.nan
+    return n if abs(ratio - n) <= 1e-9 * max(1.0, ratio) else None
+
+
+class Scenario(SimpleNamespace):
+    """The keys of ``SCHEMA``, resolved, as attributes; but ``domain`` is
+    (x0, x1, y0, y1), ``medium`` is ``media`` (one or two) and ``interface``
+    ((axis, position) or None), and ``theta`` is ``theta_x``, ``theta_y``."""
 
     def media_for(self, xc, yc):
-        cfg = self.medium_cfg
-        if "two" in cfg:
-            m_a = media_mod.from_config(cfg["two"][0])
-            m_b = media_mod.from_config(cfg["two"][1])
-            axis = cfg["interface"]["axis"]
-            pos = cfg["interface"]["position"]
-            coord = xc if axis == "x" else yc
-            return m_a if coord < pos else m_b
-        return media_mod.from_config(cfg)
+        if self.interface is None:
+            return self.media[0]
+        axis, position = self.interface
+        return self.media[int((xc if axis == "x" else yc) >= position)]
 
     def c_p_max(self):
-        cfg = self.medium_cfg
-        specs = cfg["two"] if "two" in cfg else [cfg]
-        return max(media_mod.from_config(s).wave_speeds().c_p for s in specs)
+        return max(m.wave_speeds().c_p for m in self.media)
 
     def pml_profiles(self):
-        if not self.pml.sides:
-            return []
-        d0 = self.pml.d0
-        if d0 is None:
-            d0 = pml_mod.damping_strength(self.c_p_max(), self.pml.width,
-                                          self.pml.tol)
+        pml, d0 = self.pml, self.pml.d0
+        if pml.sides and d0 is None:
+            d0 = pml_mod.damping_strength(self.c_p_max(), pml.width, pml.tol)
         x0, x1, y0, y1 = self.domain
         anchor = {"west": ("x", x0, "low"), "east": ("x", x1, "high"),
                   "south": ("y", y0, "low"), "north": ("y", y1, "high")}
         profiles = []
-        for side in self.pml.sides:
+        for side in pml.sides:
             axis, extent, orient = anchor[side]
             profiles.append(pml_mod.PmlProfile(
-                axis=axis, interior_extent=extent, width=self.pml.width,
-                d0=d0, exponent=self.pml.exponent, alpha=self.pml.alpha,
-                gamma=self.pml.gamma, side=orient))
+                axis=axis, interior_extent=extent, width=pml.width, d0=d0,
+                exponent=pml.exponent, alpha=pml.alpha, gamma=pml.gamma,
+                side=orient))
         return profiles
 
     def mesh_extents(self):
         x0, x1, y0, y1 = self.domain
-        w = self.pml.width
-        if "west" in self.pml.sides:
-            x0 -= w
-        if "east" in self.pml.sides:
-            x1 += w
-        if "south" in self.pml.sides:
-            y0 -= w
-        if "north" in self.pml.sides:
-            y1 += w
-        return x0, x1, y0, y1
+        w, sides = self.pml.width, self.pml.sides
+        return (x0 - w if "west" in sides else x0,
+                x1 + w if "east" in sides else x1,
+                y0 - w if "south" in sides else y0,
+                y1 + w if "north" in sides else y1)
 
     def build(self):
         """Returns (mesh, solver config) ready for solver.run."""
-        x0, x1, y0, y1 = self.mesh_extents()
-        mesh = build_mesh(x0, x1, y0, y1, self.element_size, self.degree,
-                          self.media_for, self.boundaries,
+        mesh = build_mesh(*self.mesh_extents(), self.element_size,
+                          self.degree, self.media_for, self.boundaries,
                           profiles=self.pml_profiles())
         mesh.interior_box = self.domain
-        ex = mesh.extents
-        for i, (rx, ry) in enumerate(self.receivers):
-            if not (ex[0] <= rx <= ex[1] and ex[2] <= ry <= ex[3]):
-                _fail(f"receivers[{i}]", f"({rx}, {ry}) is outside the mesh")
-        config = SolverConfig(theta_x=self.theta_x, theta_y=self.theta_y,
-                              cfl=self.cfl, final_time=self.final_time,
-                              stop_time=self.stop_time)
-        return mesh, config
+        return mesh, SolverConfig(
+            theta_x=self.theta_x, theta_y=self.theta_y, cfl=self.cfl,
+            final_time=self.final_time, stop_time=self.stop_time)
 
     def canonical_dict(self):
         return dict(self.raw)
 
 
-def _validate_medium(cfg):
-    if isinstance(cfg, str):
-        return {"preset": cfg}
-    _require(isinstance(cfg, dict), "medium", "must be a name or an object")
-    if "two" in cfg:
-        _require(len(cfg["two"]) == 2, "medium.two",
-                 "needs exactly two medium specs")
-        iface = cfg.get("interface")
-        _require(isinstance(iface, dict), "medium.interface",
-                 "required for piecewise media")
-        _require(iface.get("axis") in ("x", "y"), "medium.interface.axis",
-                 "must be 'x' or 'y'")
-        _require(isinstance(iface.get("position"), (int, float)),
-                 "medium.interface.position", "must be a number")
-        for sub in cfg["two"]:
-            media_mod.from_config(sub)
-        return cfg
-    media_mod.from_config(cfg)  # raises InvalidMediumError when malformed
-    return cfg
-
-
 def from_dict(data):
-    """Validate a scenario dictionary; every invariant failure names its key."""
-    _require(isinstance(data, dict), "scenario", "must be a JSON object")
-    unknown = set(data) - _TOP_KEYS
-    _require(not unknown, sorted(unknown)[0] if unknown else "",
-             "unknown configuration key")
-    _require(data.get("schema") == SCHEMA_VERSION, "schema",
-             f"must be {SCHEMA_VERSION}")
-
-    dom = data.get("domain")
-    _require(isinstance(dom, dict) and "x" in dom and "y" in dom, "domain",
-             "must be an object with 'x' and 'y' ranges")
+    """Validate a scenario dictionary against ``SCHEMA`` and resolve it; every
+    failure names its key path."""
     try:
-        x0, x1 = map(float, dom["x"])
-        y0, y1 = map(float, dom["y"])
-    except (TypeError, ValueError):
-        _fail("domain", "ranges must be [lo, hi] numbers")
-    _require(x1 > x0, "domain.x", "must be increasing")
-    _require(y1 > y0, "domain.y", "must be increasing")
+        v = SCHEMA(data)
+    except Invalid as exc:
+        path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                       for k in reversed(exc.path))[1:] or "scenario"
+        raise ConfigurationError(f"{path}: {exc}") from None
+    size = v["element_size"]
+    for axis, (lo, hi) in v["domain"].items():
+        if not hi > lo:
+            raise ConfigurationError(f"domain.{axis}: must be increasing")
+        if not _element_count(hi - lo, size):
+            raise ConfigurationError(f"element_size: {size} does not divide "
+                                     f"the {axis} extent {hi - lo}")
+    pml = v["pml"] = SimpleNamespace(**v["pml"])
+    if pml.sides and not _element_count(pml.width, size):
+        raise ConfigurationError(f"pml.width: {pml.width} does not span an "
+                                 f"integer number of size-{size} elements")
+    if v["stop_time"] is not None and v["stop_time"] > v["final_time"]:
+        raise ConfigurationError("stop_time: must lie in (0, final_time]")
+    for i, t in enumerate(v["snapshot_times"]):
+        if t > v["final_time"]:
+            raise ConfigurationError(
+                f"snapshot_times[{i}]: must lie in [0, final_time]")
 
-    dx = data.get("element_size")
-    _require(isinstance(dx, (int, float)) and dx > 0, "element_size",
-             "must be a positive number")
+    domain, theta, _ = v.pop("domain"), v.pop("theta"), v.pop("schema")
+    v["media"], v["interface"] = v.pop("medium")
+    sc = Scenario(**v, domain=(*domain["x"], *domain["y"]), raw=data,
+                  theta_x=theta["x"], theta_y=theta["y"])
 
-    def divides(span):
-        ratio = span / dx
-        return abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio) \
-            and round(ratio) >= 1
-
-    _require(divides(x1 - x0), "element_size",
-             f"{dx} does not divide the x extent {x1 - x0}")
-    _require(divides(y1 - y0), "element_size",
-             f"{dx} does not divide the y extent {y1 - y0}")
-
-    degree = data.get("degree")
-    _require(_is_int(degree) and 1 <= degree <= 12, "degree",
-             "must be an integer in [1, 12]")
-
-    medium_cfg = _validate_medium(data.get("medium"))
-
-    pml_raw = data.get("pml", {})
-    _require(isinstance(pml_raw, dict), "pml", "must be an object")
-    sides = tuple(pml_raw.get("sides", ()))
-    for s in sides:
-        _require(s in _SIDES, "pml.sides", f"unknown side {s!r}")
-    width = float(pml_raw.get("width", 10.0))
-    if sides:
-        _require(width > 0, "pml.width", "must be positive")
-        _require(divides(width), "pml.width",
-                 f"{width} does not span an integer number of "
-                 f"size-{dx} elements")
-    tol = float(pml_raw.get("tol", pml_mod.DEFAULT_TOL))
-    _require(0 < tol <= 1, "pml.tol", "must lie in (0, 1]")
-    alpha = float(pml_raw.get("alpha", pml_mod.DEFAULT_ALPHA))
-    _require(alpha >= 0, "pml.alpha", "must be nonnegative")
-    gamma = float(pml_raw.get("gamma", 1.0))
-    _require(gamma > 0, "pml.gamma", "must be positive")
-    exponent = int(pml_raw.get("exponent", pml_mod.DEFAULT_EXPONENT))
-    _require(exponent >= 1, "pml.exponent", "must be >= 1")
-    d0 = pml_raw.get("d0")
-    if d0 is not None:
-        _require(float(d0) >= 0, "pml.d0", "must be nonnegative")
-        d0 = float(d0)
-    pml_settings = PmlSettings(sides=sides, width=width, tol=tol, alpha=alpha,
-                               gamma=gamma, exponent=exponent, d0=d0)
-
-    theta = data.get("theta", {})
-    theta_x = float(theta.get("x", 1.0))
-    theta_y = float(theta.get("y", 1.0))
-    for key, val in (("theta.x", theta_x), ("theta.y", theta_y)):
-        _require(0.0 <= val <= 1.0, key, "must lie in [0, 1]")
-
-    bounds = dict(data.get("boundaries", {}))
-    r = {}
-    for s in _SIDES:
-        r[s] = float(bounds.get(s, 0.0))
-        _require(abs(r[s]) <= 1.0, f"boundaries.{s}",
-                 f"reflection coefficient must lie in [-1, 1], got {r[s]}")
-    for s in bounds:
-        _require(s in _SIDES, "boundaries", f"unknown side {s!r}")
-
-    cfl = float(data.get("cfl", 0.9))
-    _require(0 < cfl <= 1.0, "cfl", "must lie in (0, 1]")
-
-    final_time = float(data.get("final_time", 1.0))
-    _require(final_time > 0, "final_time", "must be positive")
-    stop_time = data.get("stop_time")
-    if stop_time is not None:
-        stop_time = float(stop_time)
-        _require(0 < stop_time <= final_time, "stop_time",
-                 "must lie in (0, final_time]")
-
-    initial = data.get("initial", {"type": "gaussian-pulse"})
-    _require(isinstance(initial, dict), "initial", "must be an object")
-    _require(initial.get("type", "gaussian-pulse") in
-             ("gaussian-pulse", "standing-mode", "zero"), "initial.type",
-             "must be gaussian-pulse, standing-mode or zero")
-
-    receivers = tuple(tuple(map(float, p)) for p in data.get("receivers", ()))
-    snapshot_times = tuple(float(t) for t in data.get("snapshot_times", ()))
-    for i, t in enumerate(snapshot_times):
-        _require(0 <= t <= final_time, f"snapshot_times[{i}]",
-                 "must lie in [0, final_time]")
-
-    divergence = float(data.get("divergence_factor", 1e4))
-    _require(divergence > 1, "divergence_factor", "must exceed 1")
-
-    stride = data.get("history_stride")
-    if stride is not None:
-        _require(_is_int(stride) and stride >= 1, "history_stride",
-                 "must be a positive integer")
-
-    return Scenario(
-        name=str(data.get("name", "scenario")),
-        domain=(x0, x1, y0, y1),
-        element_size=float(dx),
-        degree=degree,
-        medium_cfg=medium_cfg,
-        pml=pml_settings,
-        theta_x=theta_x,
-        theta_y=theta_y,
-        boundaries=r,
-        cfl=cfl,
-        final_time=final_time,
-        stop_time=stop_time,
-        initial=initial,
-        receivers=receivers,
-        snapshot_times=snapshot_times,
-        record_fields=bool(data.get("record_fields", False)),
-        history_stride=stride,
-        divergence_factor=divergence,
-        output_dir=data.get("output_dir"),
-        raw=data,
-    )
+    mx0, mx1, my0, my1 = sc.mesh_extents()
+    for i, (rx, ry) in enumerate(sc.receivers):
+        if not (mx0 <= rx <= mx1 and my0 <= ry <= my1):
+            raise ConfigurationError(
+                f"receivers[{i}]: ({rx}, {ry}) is outside the mesh")
+    if sc.interface is not None:
+        axis, position = sc.interface
+        lo, hi = (mx0, mx1) if axis == "x" else (my0, my1)
+        if not (lo <= position <= hi
+                and _element_count(position - lo, size) is not None):
+            raise ConfigurationError(f"medium.interface.position: "
+                                     f"{position} is not on an element edge")
+    return sc
 
 
 def parse_scenario(path):
@@ -317,7 +327,7 @@ def parse_scenario(path):
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigurationError(f"scenario file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSON syntax or text encoding
         raise ConfigurationError(f"{path}: malformed JSON ({exc})") from None
     return from_dict(data)
 
@@ -346,26 +356,15 @@ def run_scenario(scenario):
 
 
 def with_overrides(scenario, **overrides):
-    """Re-validate a scenario with selected fields replaced.
-
-    Supported overrides: theta_x, theta_y, tol, d0, degree, cfl, final_time,
-    stop_time, record_fields, output_dir, divergence_factor, history_stride.
-    """
+    """Re-validate a scenario with fields replaced: theta_x, theta_y, tol,
+    d0, or any top-level key (degree, cfl, final_time, stop_time, ...)."""
     data = json.loads(json.dumps(scenario.raw))  # deep copy
-    mapping = {
-        "theta_x": ("theta", "x"),
-        "theta_y": ("theta", "y"),
-        "tol": ("pml", "tol"),
-        "d0": ("pml", "d0"),
-    }
+    nested = {"theta_x": ("theta", "x"), "theta_y": ("theta", "y"),
+              "tol": ("pml", "tol"), "d0": ("pml", "d0")}
     for key, val in overrides.items():
-        if val is None:
-            continue
-        if key in mapping:
-            group, sub = mapping[key]
+        if val is not None and key in nested:
+            group, sub = nested[key]
             data.setdefault(group, {})[sub] = val
-        elif key in _TOP_KEYS:
+        elif val is not None:  # from_dict turns an unknown key away
             data[key] = val
-        else:
-            raise ConfigurationError(f"unknown override {key!r}")
     return from_dict(data)

@@ -297,6 +297,9 @@ def run(mesh, config, initial=None, receivers=(), snapshot_times=(),
     dt = config.final_time / n_steps
     stop_time = config.stop_time if config.stop_time is not None \
         else config.final_time
+    # steps taken: step k + 1 starts at k dt, which must lie before stop_time
+    n_run = next((k for k in range(n_steps) if k * dt >= stop_time - 1e-12),
+                 n_steps)
     linf_field = "p" if mesh.acoustic else "vmag"
 
     if record_fields:
@@ -305,21 +308,22 @@ def run(mesh, config, initial=None, receivers=(), snapshot_times=(),
         else:
             kx0, kx1, ly0, ly1 = 0, mesh.K, 0, mesh.L
         stride = history_stride or max(1, n_steps // 400)
-    else:
-        kx0 = kx1 = ly0 = ly1 = 0
-        stride = 0
+        n_frames = n_run // stride + 1
+        hist_t = np.empty(n_frames)
+        hist = np.empty((n_frames, kx1 - kx0, ly1 - ly0) + state.U.shape[2:])
 
     stencils = _receiver_stencils(mesh, receivers)
     snap_steps = {int(round(t / dt)): t for t in snapshot_times}
 
     times, linfs, energies = [], [], []
     rec_series = [[] for _ in stencils]
-    hist_t, hist = [], []
+    n_hist = 0
     record = RunRecord(dt=dt, n_steps=n_steps,
                        receiver_locations=list(receivers), mesh=mesh,
                        linf_field=linf_field)
 
     def sample(step):
+        nonlocal n_hist
         t = step * dt
         times.append(t)
         linfs.append(diagnostics.linf_norm(state.U, linf_field, mesh))
@@ -330,8 +334,9 @@ def run(mesh, config, initial=None, receivers=(), snapshot_times=(),
         if step in snap_steps:
             record.snapshots[snap_steps[step]] = state.U.copy()
         if record_fields and step % stride == 0:
-            hist_t.append(t)
-            hist.append(state.U[kx0:kx1, ly0:ly1].copy())
+            hist_t[n_hist] = t
+            hist[n_hist] = state.U[kx0:kx1, ly0:ly1]
+            n_hist += 1
 
     def finalize(status, blowup=None):
         record.times = np.array(times)
@@ -342,17 +347,15 @@ def run(mesh, config, initial=None, receivers=(), snapshot_times=(),
         if stencils:
             record.receiver_series = np.array(rec_series)
         if record_fields:
-            record.history_times = np.array(hist_t)
-            record.history = np.array(hist)
+            record.history_times = hist_t[:n_hist]
+            record.history = hist[:n_hist]
             record.interior_range = (kx0, kx1, ly0, ly1)
         record.final_state = state
         return record
 
     sample(0)
     linf_bound = divergence_factor * linfs[0] if linfs[0] > 0 else np.inf
-    for step in range(1, n_steps + 1):
-        if (step - 1) * dt >= stop_time - 1e-12:
-            break
+    for step in range(1, n_run + 1):
         state = advance(state, dt, mesh, config)
         if not np.isfinite(state.U).all():
             finalize("unstable", blowup=state.t)

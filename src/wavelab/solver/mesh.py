@@ -69,37 +69,31 @@ class Mesh:
                 f"media grid shape {media_grid.shape} does not match the "
                 f"{self.K}x{self.L} element grid")
         self.media = media_grid
-        first = media_grid[0, 0]
-        self.acoustic = is_acoustic(first)
-        cm0 = first.coefficient_matrices()
-        self.m = cm0.m
-        self.fields = cm0.fields
-        self.A_x = cm0.A_x
-        self.A_y = cm0.A_y
-        self.Pmat = np.empty((self.K, self.L, self.m, self.m))
-        self.Pinv = np.empty_like(self.Pmat)
+        # coefficients are computed once per distinct medium (media are
+        # frozen dataclasses, so equal media share a key) and gathered
+        number = {}
+        index = np.array([[number.setdefault(med, len(number))
+                           for med in row] for row in media_grid])
+        distinct = list(number)
+        self.acoustic = is_acoustic(distinct[0])
+        if any(is_acoustic(med) != self.acoustic for med in distinct):
+            raise ConfigurationError(
+                "piecewise media must share the same system type")
+        cms = [med.coefficient_matrices() for med in distinct]
+        self.m = cms[0].m
+        self.fields = cms[0].fields
+        self.A_x = cms[0].A_x
+        self.A_y = cms[0].A_y
+        self.Pmat = np.array([cm.P for cm in cms])[index]
+        self.Pinv = np.array([np.linalg.inv(cm.P) for cm in cms])[index]
         # per-element, per-axis impedances for the face characteristics
-        self.Z_normal = {"x": np.empty((self.K, self.L)),
-                         "y": np.empty((self.K, self.L))}
-        self.Z_tangential = {"x": np.empty((self.K, self.L)),
-                             "y": np.empty((self.K, self.L))}
-        c_max = 0.0
-        for kx in range(self.K):
-            for ly in range(self.L):
-                med = media_grid[kx, ly]
-                if is_acoustic(med) != self.acoustic:
-                    raise ConfigurationError(
-                        "piecewise media must share the same system type")
-                cm = med.coefficient_matrices()
-                self.Pmat[kx, ly] = cm.P
-                self.Pinv[kx, ly] = np.linalg.inv(cm.P)
-                for axis in ("x", "y"):
-                    imp = med.impedances(axis)
-                    self.Z_normal[axis][kx, ly] = imp.normal
-                    self.Z_tangential[axis][kx, ly] = (
-                        imp.tangential if imp.tangential is not None else 0.0)
-                c_max = max(c_max, med.wave_speeds().c_p)
-        self.c_max = c_max
+        self.Z_normal, self.Z_tangential = {}, {}
+        for axis in ("x", "y"):
+            imps = [med.impedances(axis) for med in distinct]
+            self.Z_normal[axis] = np.array([imp.normal for imp in imps])[index]
+            self.Z_tangential[axis] = np.array(
+                [imp.tangential or 0.0 for imp in imps])[index]
+        self.c_max = max(med.wave_speeds().c_p for med in distinct)
 
     # -- damping ----------------------------------------------------------
 

@@ -1,4 +1,6 @@
+import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -105,9 +107,9 @@ def test_bool_integer_keys_rejected(key):
 
 
 def test_receiver_outside_mesh_rejected():
-    sc = scenario.from_dict(tiny_scenario_dict(receivers=[[9.0, 1.0]]))
+    # checked against the mesh extents while validating, before any mesh
     with pytest.raises(ConfigurationError, match="receivers"):
-        sc.build()
+        scenario.from_dict(tiny_scenario_dict(receivers=[[9.0, 1.0]]))
 
 
 def test_malformed_json_and_missing_file(tmp_path):
@@ -281,3 +283,72 @@ def test_compare_abc_small_scenario(tmp_path):
     body = (out / "error_series.csv").read_text().splitlines()
     assert body[0] == "t,pml_linf,pml_l2,abc_linf,abc_l2"
     assert len(body) > 10
+
+
+def _set(path, value):
+    """A mutation that sets the value at a key path of a scenario dict."""
+    def mutate(data):
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return mutate
+
+
+_ELASTIC = {"type": "elastic", "rho": 1.0, "c11": 4.0, "c12": 1.0,
+            "c22": 4.0, "c33": 2.0}
+_NO_C11 = {k: v for k, v in _ELASTIC.items() if k != "c11"}
+
+# (mutation of acoustic-waveguide, key path the error must name)
+PROBES = {
+    "receivers-string": (_set(["receivers"], "ab"), "receivers"),
+    "theta-x-string": (_set(["theta", "x"], "a"), "theta.x"),
+    "pml-width-string": (_set(["pml", "width"], "x"), "pml.width"),
+    "snapshots-string": (_set(["snapshot_times"], "ab"), "snapshot_times"),
+    "theta-list": (_set(["theta"], [1]), "theta"),
+    "boundaries-list": (_set(["boundaries"], [1]), "boundaries"),
+    "elastic-missing-c11": (_set(["medium"], _NO_C11), "medium.c11"),
+    "two-media-missing-c11": (_set(["medium"], {
+        "two": [_ELASTIC, _NO_C11],
+        "interface": {"axis": "x", "position": 0.0}}), "medium.two[1].c11"),
+    "final-time-inf": (_set(["final_time"], float("inf")), "final_time"),
+    "receiver-3d": (_set(["receivers"], [[1, 2, 3]]), "receivers[0]"),
+    "center-1d": (_set(["initial", "center"], [1]), "initial.center"),
+    "cfl-bool": (_set(["cfl"], True), "cfl"),
+    "record-fields-string": (_set(["record_fields"], "no"), "record_fields"),
+    "exponent-float": (_set(["pml", "exponent"], 2.7), "pml.exponent"),
+    "pml-unknown-key": (_set(["pml", "widht"], 10.0), "pml.widht"),
+    "initial-unknown-key": (_set(["initial", "centre"], [0.0, 1.0]),
+                            "initial.centre"),
+    "duplicate-side": (_set(["pml", "sides"], ["east", "east"]),
+                       "pml.sides[1]"),
+    "interface-off-edge": (_set(["medium"], {
+        "two": ["acoustic-484", {"type": "acoustic", "rho": 2.0,
+                                 "kappa": 4.0}],
+        "interface": {"axis": "x", "position": 2.5}}),
+        "medium.interface.position"),
+    "sides-string": (_set(["pml", "sides"], "east"), "pml.sides"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_malformed_scenario_names_its_key(probe, tmp_path, capsys):
+    mutate, key = PROBES[probe]
+    data = copy.deepcopy(scenario.load_preset("acoustic-waveguide").raw)
+    mutate(data)
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(key)}: "):
+        scenario.from_dict(data)
+    path = write_scenario(tmp_path, data)
+    assert cli.main(["run", path]) == cli.EXIT_CONFIG
+    assert f"configuration error: {key}: " in capsys.readouterr().err
+
+
+def test_cli_run_reports_the_steps_it_ran(tmp_path, capsys):
+    path = write_scenario(tmp_path, tiny_scenario_dict(
+        final_time=2.0, stop_time=1.0))
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out)]) == cli.EXIT_OK
+    ran = len((out / "series.csv").read_text().splitlines()) - 2
+    planned = json.loads((out / "metadata.json").read_text())["n_steps"]
+    assert 0 < ran < planned
+    assert f": {ran} steps," in capsys.readouterr().out
