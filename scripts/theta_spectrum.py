@@ -21,48 +21,38 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigs
 
 from wavelab import scenario
-from wavelab.solver.core import SimState, rhs, zero_state
+from wavelab.solver.core import rhs, split, zero_state
 
 
 def assemble(mesh, config):
-    """Sparse A with rhs(y) = A y, and the (name, shape) of each block of y."""
-    st = zero_state(mesh)
-    blocks = [("U", st.U.shape), ("w_x", st.w_x.shape), ("w_y", st.w_y.shape)]
-    splits = np.cumsum([np.prod(s) for _, s in blocks])
-    n = int(splits[-1])
-    y = np.zeros(n)
+    """Sparse A with rhs(y) = A y: column j is rhs of the j-th unit vector."""
+    y = zero_state(mesh).y
+    col = np.empty_like(y)
     rows, cols, vals = [], [], []
-    for j in range(n):
+    for j in range(y.size):
         y[j] = 1.0
-        parts = np.split(y, splits[:-1])
-        U, w_x, w_y = (p.reshape(s) for p, (_, s) in zip(parts, blocks))
-        col = np.concatenate(
-            [d.ravel() for d in rhs(SimState(0.0, U, w_x, w_y), mesh, config)])
+        rhs(y, mesh, config, col)
         y[j] = 0.0
         nz = np.flatnonzero(col)
         rows.append(nz)
         cols.append(np.full(nz.size, j))
         vals.append(col[nz])
-    A = sp.csc_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n))
-    return A, blocks
+    return sp.csc_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(y.size, y.size))
 
 
-def locate(index, blocks, mesh):
-    """Block name, element (kx, ly) in mesh numbering and field index."""
-    offset = 0
-    for name, shape in blocks:
-        size = int(np.prod(shape))
-        if index < offset + size:
-            k, l, m, _, _ = np.unravel_index(index - offset, shape)
-            if name == "w_x":
-                k = mesh.active_x[k]
-            elif name == "w_y":
-                l = mesh.active_y[l]
+def locate(index, mesh):
+    """Block name, element (kx, ly) in mesh numbering and field index of
+    unknown ``index`` of y."""
+    y = zero_state(mesh).y
+    y[index] = 1.0
+    for name, block in zip(("U", "w_x", "w_y"), split(y, mesh)):
+        if block.any():
+            k, l, m, _, _ = np.unravel_index(block.argmax(), block.shape)
+            k = mesh.active_x[k] if name == "w_x" else k
+            l = mesh.active_y[l] if name == "w_y" else l
             return name, (int(k), int(l)), int(m)
-        offset += size
-    raise IndexError(index)
 
 
 def main(argv=None):
@@ -79,7 +69,7 @@ def main(argv=None):
         sc = scenario.parse_scenario(args.scenario)
     sc = scenario.with_overrides(sc, theta_x=args.theta_x)
     mesh, config = sc.build()
-    A, blocks = assemble(mesh, config)
+    A = assemble(mesh, config)
     print(f"{sc.name}: theta=({config.theta_x:g}, {config.theta_y:g}), "
           f"n={A.shape[0]}, nnz={A.nnz}")
     # with a real matrix and a complex shift, eigs iterates on the real part
@@ -89,8 +79,7 @@ def main(argv=None):
     for omega in args.omega:
         lam, vec = eigs(Ac, k=12, sigma=1j * omega, tol=1e-10)
         i = int(np.argmax(lam.real))
-        name, elem, fld = locate(int(np.argmax(np.abs(vec[:, i]))), blocks,
-                                 mesh)
+        name, elem, fld = locate(int(np.argmax(np.abs(vec[:, i]))), mesh)
         best = max(best, lam[i].real)
         print(f"omega {omega:g}: max Re {lam[i].real:.3e} at Im "
               f"{lam[i].imag:.4f}, peak in {name} field {fld} of element "

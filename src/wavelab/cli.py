@@ -151,7 +151,7 @@ def compare_abc(base_sc, out_dir=None):
     """
     out = Path(out_dir or Path("out") / "abc-comparison")
     x0, x1, y0, y1 = base_sc.domain
-    c_max = base_sc.c_p_max()
+    c_max = base_sc.c_p_max
 
     pml_sc = scenario_mod.with_overrides(base_sc, record_fields=True)
     abc_sc = scenario_mod.with_overrides(base_sc, d0=0.0, record_fields=True)

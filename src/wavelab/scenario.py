@@ -18,9 +18,15 @@ from types import SimpleNamespace
 from . import media as media_mod
 from . import pml as pml_mod
 from .errors import ConfigurationError
-from .solver import SolverConfig, build_mesh
+from .solver import SolverConfig, build_mesh, timestep_formula
 
 SCHEMA_VERSION = 1
+
+# Bounds on what a scenario may ask the solver to allocate and step, checked
+# before a mesh is built: the largest shipped runs have 30,000 unknowns and
+# about 17,000 steps.
+MAX_UNKNOWNS = 10**7
+MAX_STEPS = 10**7
 
 PRESET_SCENARIOS = ("acoustic-waveguide", "elastic-iso-waveguide",
                     "elastic-aniso-waveguide", "reference-run",
@@ -165,6 +171,10 @@ def media(value):
     (media, (axis, position) or None)."""
     if isinstance(value, dict) and "two" in value:
         v = _TWO_MEDIA(value)
+        first, second = v["two"]
+        if media_mod.is_acoustic(first) != media_mod.is_acoustic(second):
+            raise Invalid("must be of the same system (acoustic or elastic) "
+                          "as medium.two[0]", 1, "two")
         return v["two"], (v["interface"]["axis"], v["interface"]["position"])
     return (medium(value),), None
 
@@ -224,7 +234,8 @@ def _element_count(span, size):
 class Scenario(SimpleNamespace):
     """The keys of ``SCHEMA``, resolved, as attributes; but ``domain`` is
     (x0, x1, y0, y1), ``medium`` is ``media`` (one or two) and ``interface``
-    ((axis, position) or None), and ``theta`` is ``theta_x``, ``theta_y``."""
+    ((axis, position) or None), and ``theta`` is ``theta_x``, ``theta_y``;
+    ``c_p_max`` is the largest c_p of the media, worked out once."""
 
     def media_for(self, xc, yc):
         if self.interface is None:
@@ -232,13 +243,10 @@ class Scenario(SimpleNamespace):
         axis, position = self.interface
         return self.media[int((xc if axis == "x" else yc) >= position)]
 
-    def c_p_max(self):
-        return max(m.wave_speeds().c_p for m in self.media)
-
     def pml_profiles(self):
         pml, d0 = self.pml, self.pml.d0
         if pml.sides and d0 is None:
-            d0 = pml_mod.damping_strength(self.c_p_max(), pml.width, pml.tol)
+            d0 = pml_mod.damping_strength(self.c_p_max, pml.width, pml.tol)
         x0, x1, y0, y1 = self.domain
         anchor = {"west": ("x", x0, "low"), "east": ("x", x1, "high"),
                   "south": ("y", y0, "low"), "north": ("y", y1, "high")}
@@ -303,9 +311,24 @@ def from_dict(data):
     domain, theta, _ = v.pop("domain"), v.pop("theta"), v.pop("schema")
     v["media"], v["interface"] = v.pop("medium")
     sc = Scenario(**v, domain=(*domain["x"], *domain["y"]), raw=data,
-                  theta_x=theta["x"], theta_y=theta["y"])
+                  theta_x=theta["x"], theta_y=theta["y"],
+                  c_p_max=max(m.wave_speeds().c_p for m in v["media"]))
 
     mx0, mx1, my0, my1 = sc.mesh_extents()
+    # floats, so a huge count compares (as inf at worst) instead of raising
+    fields = 3 if media_mod.is_acoustic(sc.media[0]) else 5
+    unknowns = ((mx1 - mx0) / size) * ((my1 - my0) / size) * fields * (
+        sc.degree + 1) ** 2
+    if unknowns > MAX_UNKNOWNS:
+        raise ConfigurationError(
+            f"element_size: {size} gives {unknowns:.3g} unknowns, more than "
+            f"{MAX_UNKNOWNS:.0e}")
+    dt = timestep_formula(sc.cfl, sc.degree, sc.c_p_max, size)
+    steps = sc.final_time / dt  # above MAX_STEPS exactly when its ceil is
+    if steps > MAX_STEPS:
+        raise ConfigurationError(
+            f"final_time: {sc.final_time} takes {steps:.3g} steps of "
+            f"{dt:.3g} s, more than {MAX_STEPS:.0e}")
     for i, (rx, ry) in enumerate(sc.receivers):
         if not (mx0 <= rx <= mx1 and my0 <= ry <= my1):
             raise ConfigurationError(
@@ -327,6 +350,9 @@ def parse_scenario(path):
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigurationError(f"scenario file not found: {path}") from None
+    except OSError as exc:  # a directory, no permission, ...
+        raise ConfigurationError(f"cannot read scenario file {path}: "
+                                 f"{exc.strerror}") from None
     except ValueError as exc:  # JSON syntax or text encoding
         raise ConfigurationError(f"{path}: malformed JSON ({exc})") from None
     return from_dict(data)

@@ -11,6 +11,7 @@ F_xi = H_xi^{-1} (e(-1) FL_xi + e(+1) FR_xi):
 Auxiliary fields are stored only on elements overlapping a layer.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,38 +37,52 @@ class SolverConfig:
             raise ValueError("CFL must lie in (0, 1]")
 
 
-@dataclass
-class SimState:
-    t: float
-    U: np.ndarray
-    w_x: np.ndarray  # (n_active_x, L, m, n, n)
-    w_y: np.ndarray  # (K, n_active_y, m, n, n)
+def _block_shapes(mesh):
+    n, m = mesh.n, mesh.m
+    return ((mesh.K, mesh.L, m, n, n),
+            (len(mesh.active_x), mesh.L, m, n, n),
+            (mesh.K, len(mesh.active_y), m, n, n))
 
-    def copy(self):
-        return SimState(self.t, self.U.copy(), self.w_x.copy(),
-                        self.w_y.copy())
+
+def split(y, mesh):
+    """U, w_x and w_y as reshaped views of the flat state vector y, which
+    holds U, then w_x on the ``mesh.active_x`` element columns, then w_y on
+    the ``mesh.active_y`` element rows, each in C order."""
+    blocks, end = [], 0
+    for shape in _block_shapes(mesh):
+        start, end = end, end + math.prod(shape)
+        blocks.append(y[start:end].reshape(shape))
+    return blocks
+
+
+class SimState:
+    """The state at time t: the flat vector y, its blocks U, w_x and w_y as
+    views of it (write them in place, as in ``state.U[:] = ...``), and the
+    five vectors that ``advance`` reuses for the RK4 stages."""
+
+    def __init__(self, t, y, mesh):
+        self.t = t
+        self.y = y
+        self.U, self.w_x, self.w_y = split(y, mesh)
+        self.stages = np.empty((5, y.size))
 
 
 def zero_state(mesh):
-    n, m = mesh.n, mesh.m
-    U = np.zeros((mesh.K, mesh.L, m, n, n))
-    w_x = np.zeros((len(mesh.active_x), mesh.L, m, n, n))
-    w_y = np.zeros((mesh.K, len(mesh.active_y), m, n, n))
-    return SimState(t=0.0, U=U, w_x=w_x, w_y=w_y)
+    return SimState(0.0, np.zeros(sum(map(math.prod, _block_shapes(mesh)))),
+                    mesh)
 
 
 # -- semi-discrete right-hand side -------------------------------------------
 
 
-def _volume_terms(mesh, U):
+def _volume_terms(mesh, U, Vx, Vy, scratch):
     D = mesh.ref.D
-    DxU = np.einsum("pi,klmij->klmpj", D, U)
-    Vx = np.einsum("ab,klbij->klaij", mesh.A_x, DxU)
+    np.einsum("pi,klmij->klmpj", D, U, out=scratch)
+    np.einsum("ab,klbij->klaij", mesh.A_x, scratch, out=Vx)
     Vx *= (mesh.qx[:, None] * mesh.inv_gamma_x)[:, None, None, :, None]
-    DyU = np.einsum("pj,klmij->klmip", D, U)
-    Vy = np.einsum("ab,klbij->klaij", mesh.A_y, DyU)
+    np.einsum("pj,klmij->klmip", D, U, out=scratch)
+    np.einsum("ab,klbij->klaij", mesh.A_y, scratch, out=Vy)
     Vy *= (mesh.ry[:, None] * mesh.inv_gamma_y)[None, :, None, None, :]
-    return Vx, Vy
 
 
 # Per face-normal axis: the low and the high boundary side, and the trace
@@ -122,37 +137,36 @@ def _fluctuations(mesh, U, axis):
     return scale * FL / h[0], scale * FR / h[-1]
 
 
-def rhs(state, mesh, config):
-    """Time derivatives (dU, dw_x, dw_y) of the semi-discrete system."""
-    U = state.U
-    Vx, Vy = _volume_terms(mesh, U)
+def rhs(y, mesh, config, out):
+    """Write dy/dt of the semi-discrete system at the flat state y into the
+    flat vector out (same layout, see ``split``)."""
+    U, w_x, w_y = split(y, mesh)
+    dU, dw_x, dw_y = split(out, mesh)
+    Vx, Vy, scratch, body = mesh.work
+    _volume_terms(mesh, U, Vx, Vy, scratch)
     lifts = [_fluctuations(mesh, U, axis) for axis in "xy"]
 
-    body = Vx + Vy
+    np.add(Vx, Vy, out=body)
     for axis, (lift_lo, lift_hi) in zip("xy", lifts):
         faces = _along(body, axis)
         faces[:, :, :, 0] -= lift_lo
         faces[:, :, :, -1] -= lift_hi
-    layers = ((Vx, state.w_x, mesh.d_x, mesh.alpha_x, mesh.active_x,
+    layers = ((Vx, w_x, dw_x, mesh.d_x, mesh.alpha_x, mesh.active_x,
                config.theta_x),
-              (Vy, state.w_y, mesh.d_y, mesh.alpha_y, mesh.active_y,
+              (Vy, w_y, dw_y, mesh.d_y, mesh.alpha_y, mesh.active_y,
                config.theta_y))
-    dw = []
-    for axis, (lift_lo, lift_hi), (V, w, d, alpha, active, theta) in zip(
+    for axis, (lift_lo, lift_hi), (V, w, dw, d, alpha, active, theta) in zip(
             "xy", lifts, layers):
-        if not active.size:
-            dw.append(np.zeros_like(w))
+        if not active.size:  # no layer on this axis: w and dw are empty
             continue
         d_nodes = d[active][:, None, None, :, None]
-        w = _along(w, axis)
+        w, dw = _along(w, axis), _along(dw, axis)
         _along(body, axis)[active] -= d_nodes * w
-        dw_axis = _along(V, axis)[active] - (d_nodes + alpha) * w
-        dw_axis[:, :, :, 0] -= theta * lift_lo[active]
-        dw_axis[:, :, :, -1] -= theta * lift_hi[active]
-        dw.append(_along(dw_axis, axis))
+        np.subtract(_along(V, axis)[active], (d_nodes + alpha) * w, out=dw)
+        dw[:, :, :, 0] -= theta * lift_lo[active]
+        dw[:, :, :, -1] -= theta * lift_hi[active]
 
-    dU = np.einsum("klab,klbij->klaij", mesh.Pmat, body)
-    return dU, dw[0], dw[1]
+    np.einsum("klab,klbij->klaij", mesh.Pmat, body, out=dU)
 
 
 # -- time stepping ------------------------------------------------------------
@@ -160,7 +174,7 @@ def rhs(state, mesh, config):
 
 def timestep_formula(cfl, degree, c_max, min_elem, dim=2):
     """dt = CFL / (sqrt(dim) (2N+1) c_max) * min element size."""
-    return cfl / (np.sqrt(dim) * (2 * degree + 1) * c_max) * min_elem
+    return cfl / (math.sqrt(dim) * (2 * degree + 1) * c_max) * min_elem
 
 
 def timestep(config, mesh):
@@ -168,25 +182,26 @@ def timestep(config, mesh):
     return timestep_formula(config.cfl, mesh.N, mesh.c_max, min_elem)
 
 
-def rk4_step(y, dt, f):
-    """Classical four-stage Runge-Kutta update of a tuple of arrays."""
-    k1 = f(y)
-    k2 = f(tuple(a + 0.5 * dt * b for a, b in zip(y, k1)))
-    k3 = f(tuple(a + 0.5 * dt * b for a, b in zip(y, k2)))
-    k4 = f(tuple(a + dt * b for a, b in zip(y, k3)))
-    return tuple(a + dt / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+def rk4_step(y, dt, f, stages):
+    """Classical RK4 step of the flat vector y, in place: ``f(y, out)`` writes
+    dy/dt into out, ``stages`` holds five vectors like y, and the arithmetic
+    is y + (c dt) k per stage and y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)."""
+    k1, k2, k3, k4, z = stages
+    f(y, k1)
+    for k, c, k_next in ((k1, 0.5, k2), (k2, 0.5, k3), (k3, 1.0, k4)):
+        np.add(y, np.multiply(c * dt, k, out=z), out=z)
+        f(z, k_next)
+    np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+    np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
+    k1 += k4
+    y += np.multiply(dt / 6.0, k1, out=k1)
 
 
 def advance(state, dt, mesh, config):
-    """One RK4 step; returns a new SimState at t + dt."""
-
-    def f(y):
-        tmp = SimState(state.t, y[0], y[1], y[2])
-        return rhs(tmp, mesh, config)
-
-    U, w_x, w_y = rk4_step((state.U, state.w_x, state.w_y), dt, f)
-    return SimState(state.t + dt, U, w_x, w_y)
+    """One RK4 step of the state, in place, from t to t + dt."""
+    rk4_step(state.y, dt, lambda y, out: rhs(y, mesh, config, out),
+             state.stages)
+    state.t += dt
 
 
 # -- initial data --------------------------------------------------------------
@@ -290,8 +305,9 @@ def run(mesh, config, initial=None, receivers=(), snapshot_times=(),
     ``divergence_factor`` times its initial value; the record is attached to
     the exception so growth histories remain available.
     """
-    state = initial_state(mesh, initial) if not isinstance(initial, SimState) \
-        else initial
+    state = (SimState(initial.t, initial.y.copy(), mesh)  # stepped in place
+             if isinstance(initial, SimState)
+             else initial_state(mesh, initial))
     dt_max = timestep(config, mesh)
     n_steps = max(1, int(np.ceil(config.final_time / dt_max - 1e-12)))
     dt = config.final_time / n_steps
@@ -356,7 +372,7 @@ def run(mesh, config, initial=None, receivers=(), snapshot_times=(),
     sample(0)
     linf_bound = divergence_factor * linfs[0] if linfs[0] > 0 else np.inf
     for step in range(1, n_run + 1):
-        state = advance(state, dt, mesh, config)
+        advance(state, dt, mesh, config)
         if not np.isfinite(state.U).all():
             finalize("unstable", blowup=state.t)
             raise UnstableRunError(

@@ -59,6 +59,8 @@ class Mesh:
 
         self._install_media(media_grid)
         self._install_damping()
+        # scratch nodal arrays that every rhs() call overwrites
+        self.work = np.empty((4, self.K, self.L, self.m, self.n, self.n))
 
     # -- media ------------------------------------------------------------
 

@@ -87,7 +87,9 @@ def test_receiver_sample_nodal_and_polynomial_exactness():
     x = mesh.xn[0, 2]            # nodal hit
     y = mesh.yn[1, 1]
     cfg = SolverConfig(final_time=1e-9)
+    y0 = st.y.copy()
     rec = run(mesh, cfg, initial=st, receivers=[(x, y), (0.377, 1.612)])
+    assert np.array_equal(st.y, y0)  # run steps a copy of the given state
     nodal, arbitrary = rec.receiver_series[:, 0]
     assert nodal[0] == pytest.approx(7.0)
     assert nodal[1] == pytest.approx(x, abs=1e-13)

@@ -130,7 +130,7 @@ def test_two_media_scenario_builds():
     mesh, _ = sc.build()
     assert mesh.media[0, 0].rho == 1.0
     assert mesh.media[1, 0].rho == 2.0
-    assert sc.c_p_max() == pytest.approx(np.sqrt(2.0))
+    assert sc.c_p_max == pytest.approx(np.sqrt(2.0))
 
 
 def test_overrides_reach_the_config():
@@ -166,6 +166,11 @@ def test_cli_exit_code_for_configuration_error(tmp_path):
     path = write_scenario(tmp_path, tiny_scenario_dict(element_size=0.37))
     assert cli.main(["run", path]) == cli.EXIT_CONFIG
     assert cli.main(["run", str(tmp_path / "missing.json")]) == cli.EXIT_CONFIG
+
+
+def test_cli_run_of_an_unreadable_path_names_it(tmp_path, capsys):
+    assert cli.main(["run", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert str(tmp_path) in capsys.readouterr().err
 
 
 def test_cli_analyze_writes_verdicts(tmp_path):
@@ -328,6 +333,11 @@ PROBES = {
         "interface": {"axis": "x", "position": 2.5}}),
         "medium.interface.position"),
     "sides-string": (_set(["pml", "sides"], "east"), "pml.sides"),
+    "two-media-mixed-systems": (_set(["medium"], {
+        "two": ["acoustic-484", "iso-table1"],
+        "interface": {"axis": "x", "position": 0.0}}), "medium.two[1]"),
+    "element-size-tiny": (_set(["element_size"], 1e-300), "element_size"),
+    "final-time-huge": (_set(["final_time"], 1e12), "final_time"),
 }
 
 

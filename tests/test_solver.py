@@ -1,11 +1,15 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from wavelab import diagnostics, media, pml
+from wavelab import diagnostics, media, pml, scenario
 from wavelab.errors import UnstableRunError
 from wavelab.solver import (SolverConfig, advance, build_mesh, rhs, rk4_step,
                             run, timestep, timestep_formula)
-from wavelab.solver.core import gaussian_pulse, standing_mode, zero_state
+from wavelab.solver.core import (gaussian_pulse, split, standing_mode,
+                                 zero_state)
 
 R_CLOSED = {"west": 1.0, "east": 1.0, "south": 1.0, "north": 1.0}
 ACOUSTIC = media.preset("acoustic-484")
@@ -28,6 +32,13 @@ def smooth_random_state(mesh, seed=0, amplitude=1.0):
     return st
 
 
+def rate(st, mesh, cfg):
+    """(dU, dw_x, dw_y) at a state: rhs into a fresh vector, split."""
+    out = np.empty_like(st.y)
+    rhs(st.y, mesh, cfg, out)
+    return split(out, mesh)
+
+
 def test_rhs_zero_for_compatible_constant_state():
     """Constant velocity with zero pressure satisfies the r=1 walls, so every
     fluctuation vanishes and so does the broken derivative."""
@@ -36,22 +47,22 @@ def test_rhs_zero_for_compatible_constant_state():
     st = zero_state(mesh)
     st.U[:, :, 1] = 0.8
     st.U[:, :, 2] = -0.2
-    dU, dwx, dwy = rhs(st, mesh, cfg)
+    dU, dwx, dwy = rate(st, mesh, cfg)
     assert np.max(np.abs(dU)) < 1e-14
     # elastic analogue: constant velocity, zero stress, free surfaces
     mesh = closed_box(ISO, n_elem=2, degree=4)
     st = zero_state(mesh)
     st.U[:, :, 0] = 0.5
     st.U[:, :, 1] = 1.5
-    dU, _, _ = rhs(st, mesh, cfg)
+    dU, _, _ = rate(st, mesh, cfg)
     assert np.max(np.abs(dU)) < 1e-13
 
 
 def test_rhs_theta_independent_without_damping():
     mesh = closed_box(ACOUSTIC)
     st = smooth_random_state(mesh, seed=1)
-    d0 = rhs(st, mesh, SolverConfig(theta_x=0.0, theta_y=0.0, final_time=1.0))
-    d1 = rhs(st, mesh, SolverConfig(theta_x=1.0, theta_y=1.0, final_time=1.0))
+    d0 = rate(st, mesh, SolverConfig(theta_x=0.0, theta_y=0.0, final_time=1.0))
+    d1 = rate(st, mesh, SolverConfig(theta_x=1.0, theta_y=1.0, final_time=1.0))
     assert np.array_equal(d0[0], d1[0])
     assert d0[1].size == 0 and d0[2].size == 0
 
@@ -60,7 +71,7 @@ def test_single_element_energy_rate_nonpositive():
     mesh = closed_box(ACOUSTIC, n_elem=1, degree=5)
     cfg = SolverConfig(final_time=1.0)
     st = smooth_random_state(mesh, seed=2)
-    dU, _, _ = rhs(st, mesh, cfg)
+    dU, _, _ = rate(st, mesh, cfg)
     h = mesh.ref.weights
     PU = np.einsum("klab,klbij->klaij", mesh.Pinv, st.U)
     dE = float(np.einsum("klaij,klaij,i,j->", PU, dU, h, h) * mesh.jac[0, 0])
@@ -76,7 +87,7 @@ def test_closed_box_energy_monotone(med):
     dt = timestep(cfg, mesh)
     E = diagnostics.discrete_energy(st.U, mesh)
     for _ in range(150):
-        st = advance(st, dt, mesh, cfg)
+        advance(st, dt, mesh, cfg)
         E_new = diagnostics.discrete_energy(st.U, mesh)
         assert E_new <= E * (1.0 + 1e-12)
         E = E_new
@@ -93,17 +104,16 @@ def test_timestep_reference_values():
 
 
 def test_rk4_scalar_decay_accuracy():
-    y = (np.array([1.0]),)
+    y = np.array([1.0])
     dt = 0.1
-    out = rk4_step(y, dt, lambda s: (-s[0],))
-    assert abs(out[0][0] - np.exp(-dt)) < 1e-7
+    rk4_step(y, dt, lambda s, out: np.negative(s, out=out), np.empty((5, 1)))
+    assert abs(y[0] - np.exp(-dt)) < 1e-7
 
 
 def test_rk4_zero_rhs_identity():
-    y = (np.arange(5.0), np.ones(3))
-    out = rk4_step(y, 0.3, lambda s: tuple(np.zeros_like(a) for a in s))
-    for a, b in zip(y, out):
-        assert np.array_equal(a, b)
+    y = np.arange(5.0)
+    rk4_step(y, 0.3, lambda s, out: out.fill(0.0), np.empty((5, 5)))
+    assert np.array_equal(y, np.arange(5.0))
 
 
 def test_advance_linear_superposition():
@@ -113,12 +123,11 @@ def test_advance_linear_superposition():
     a = smooth_random_state(mesh, seed=4)
     b = smooth_random_state(mesh, seed=5)
     ab = zero_state(mesh)
-    ab.U = 2.0 * a.U + 3.0 * b.U
-    out_a = advance(a, dt, mesh, cfg)
-    out_b = advance(b, dt, mesh, cfg)
-    out_ab = advance(ab, dt, mesh, cfg)
-    assert np.allclose(out_ab.U, 2.0 * out_a.U + 3.0 * out_b.U,
-                       rtol=0, atol=1e-12 * np.max(np.abs(out_ab.U)))
+    ab.U[:] = 2.0 * a.U + 3.0 * b.U
+    for st in (a, b, ab):
+        advance(st, dt, mesh, cfg)
+    assert np.allclose(ab.U, 2.0 * a.U + 3.0 * b.U,
+                       rtol=0, atol=1e-12 * np.max(np.abs(ab.U)))
 
 
 def test_run_zero_initial_data_stays_zero():
@@ -194,6 +203,11 @@ def test_auxiliary_fields_allocated_only_on_layer_elements():
     st = zero_state(mesh)
     assert st.w_x.shape == (2, mesh.L, 3, mesh.n, mesh.n)
     assert st.w_y.shape[1] == 0
+    # the blocks are views of the flat vector: U first, then w_x
+    st.U[:] = 1.0
+    st.w_x[:] = 2.0
+    assert np.array_equal(st.y, np.repeat([1.0, 2.0],
+                                          [st.U.size, st.w_x.size]))
     rec = run(mesh, SolverConfig(final_time=2.0), initial={"type": "zero"})
     assert np.all(rec.final_state.w_x == 0.0)
 
@@ -252,7 +266,7 @@ def test_piecewise_media_interface_is_stable_and_consistent():
     dt = timestep(cfg, mesh)
     E = diagnostics.discrete_energy(st.U, mesh)
     for _ in range(100):
-        st = advance(st, dt, mesh, cfg)
+        advance(st, dt, mesh, cfg)
         E_new = diagnostics.discrete_energy(st.U, mesh)
         assert E_new <= E * (1.0 + 1e-12)
         E = E_new
@@ -292,8 +306,42 @@ def test_rhs_mirror_symmetric_between_x_and_y_layers(med):
     mirrored.U[:] = _mirror(st.U)
     mirrored.w_y[:] = _mirror(st.w_x)
 
-    dU, dw_x, _ = rhs(st, east, SolverConfig(theta_x=0.7, theta_y=0.2))
-    dU_m, _, dw_y_m = rhs(mirrored, north,
-                          SolverConfig(theta_x=0.2, theta_y=0.7))
+    dU, dw_x, _ = rate(st, east, SolverConfig(theta_x=0.7, theta_y=0.2))
+    dU_m, _, dw_y_m = rate(mirrored, north,
+                           SolverConfig(theta_x=0.2, theta_y=0.7))
     for got, want in ((dU_m, _mirror(dU)), (dw_y_m, _mirror(dw_x))):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _theta_spectrum():
+    path = Path(__file__).resolve().parents[1] / "scripts"
+    spec = importlib.util.spec_from_file_location("theta_spectrum",
+                                                  path / "theta_spectrum.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("medium, sides", [
+    ("acoustic-484", ["west", "east", "south", "north"]),
+    ("iso-table1", ["east", "north"]),
+    ({"two": ["iso-table1", "am1-table1"],
+      "interface": {"axis": "x", "position": 0.0}}, ["east", "north"]),
+], ids=["acoustic-all-sides", "elastic-two-sides", "two-media"])
+def test_assembled_operator_matches_rhs(medium, sides):
+    """The spectrum script's A, assembled from rhs of unit vectors, applies
+    rhs to any state."""
+    pytest.importorskip("scipy")
+    sc = scenario.from_dict({
+        "schema": 1, "domain": {"x": [-10.0, 10.0], "y": [0.0, 10.0]},
+        "element_size": 5.0, "degree": 2, "medium": medium,
+        "pml": {"sides": sides, "width": 5.0, "gamma": 1.5},
+        "boundaries": {"west": 0.3, "east": -0.4, "south": 0.6,
+                       "north": -0.2},
+        "theta": {"x": 0.5, "y": 0.25}})
+    mesh, cfg = sc.build()
+    A = _theta_spectrum().assemble(mesh, cfg)
+    y = np.random.default_rng(10).normal(size=A.shape[0])
+    want = np.empty_like(y)
+    rhs(y, mesh, cfg, want)
+    assert np.max(np.abs(A @ y - want)) <= 1e-14 * np.max(np.abs(want))
