@@ -262,39 +262,8 @@ def pml_mode_spectrum(medium, k, d, alpha, gamma=1.0):
 
 
 # Orthotropic solid violating the geometric stability condition along x,
-# frozen from the first hit of find_violating_medium() (which remains the
-# oracle for it in the tests).  Its slow branch bends backwards near the
-# y-axis: V_px V_gx reaches about -2.
+# frozen from the first hit of a stiffness-grid search that the tests keep
+# (tests/oracles.py) and re-run to check it.  Its slow branch bends
+# backwards near the y-axis: V_px V_gx reaches about -2.
 VIOLATING_MEDIUM = ElasticMedium2D(rho=1.0, c11=2.0, c12=1.0, c22=2.0,
                                    c33=1.0)
-
-# Parameter ranges scanned when constructing a medium that violates the
-# geometric stability condition.  The published figure demonstrates such a
-# medium exists without giving parameters, so one is derived here by search.
-_SCAN_C11 = (2.0, 4.0, 10.0, 20.0)
-_SCAN_C22 = (2.0, 4.0, 10.0, 20.0)
-_SCAN_C33 = (1.0, 2.0)
-_SCAN_C12 = (1.0, 3.0, 5.0, 7.5, 9.0)
-
-
-def find_violating_medium(axis="x", rho=1.0, n_coarse=180, n_confirm=720):
-    """Scan a coarse stiffness grid for a geometrically unstable medium.
-
-    Returns (medium, report) for the first SPD parameter combination whose
-    stability check fails along ``axis`` at the confirmation resolution.
-    """
-    for c11 in _SCAN_C11:
-        for c22 in _SCAN_C22:
-            for c33 in _SCAN_C33:
-                for c12 in _SCAN_C12:
-                    if c11 * c22 - c12 ** 2 <= 0:
-                        continue
-                    medium = ElasticMedium2D(rho=rho, c11=c11, c12=c12,
-                                             c22=c22, c33=c33)
-                    coarse = geometric_stability_check(medium, axis, n_coarse)
-                    if coarse.verdict == "stable":
-                        continue
-                    report = geometric_stability_check(medium, axis, n_confirm)
-                    if report.verdict == "unstable":
-                        return medium, report
-    raise NumericalFailureError("violating-medium scan exhausted the grid")

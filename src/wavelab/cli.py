@@ -67,17 +67,11 @@ def write_run_artifacts(out_dir, sc, record):
     _write_csv(out / "series.csv", ["t", "linf", "energy"],
                zip(record.times, record.linf, record.energy))
     if record.receiver_series is not None:
-        fields = record.mesh.fields
-        header = ["t"]
-        for i in range(len(record.receiver_locations)):
-            header += [f"rec{i}_{f}" for f in fields]
-        rows = []
-        for k, t in enumerate(record.times):
-            row = [t]
-            for i in range(len(record.receiver_locations)):
-                row.extend(record.receiver_series[i][k])
-            rows.append(row)
-        _write_csv(out / "receivers.csv", header, rows)
+        header = ["t"] + [f"rec{i}_{f}"
+                          for i in range(len(record.receiver_series))
+                          for f in record.mesh.fields]
+        _write_csv(out / "receivers.csv", header, np.column_stack(
+            [record.times, *record.receiver_series]))
     mesh = record.mesh
     X, Y = mesh.node_coordinates()
     for t, U in sorted(record.snapshots.items()):

@@ -21,24 +21,21 @@ def weighted_l2(U, mesh):
 
 
 def linf_norm(U, selector, mesh=None):
-    """Max nodal magnitude of a selected field.
+    """Max nodal magnitude of a selected field of the nodal array U.
 
-    Selectors: "p" (acoustic pressure), "vmag" (absolute particle velocity
-    sqrt(vx^2 + vy^2)), "all" (max over every component), or an integer
-    field index.
+    Selectors: "p" (acoustic pressure) and "vmag" (absolute particle velocity
+    sqrt(vx^2 + vy^2); U holds acoustic fields if ``mesh`` is acoustic, else
+    elastic ones).
     """
-    U = np.asarray(U)
-    if selector == "all":
-        return float(np.max(np.abs(U))) if U.size else 0.0
     if selector == "p":
         return float(np.max(np.abs(U[..., 0, :, :])))
-    if selector == "vmag":
-        if mesh is not None and mesh.acoustic:
-            vx, vy = U[..., 1, :, :], U[..., 2, :, :]
-        else:
-            vx, vy = U[..., 0, :, :], U[..., 1, :, :]
-        return float(np.sqrt(np.max(vx ** 2 + vy ** 2)))
-    return float(np.max(np.abs(U[..., int(selector), :, :])))
+    if selector != "vmag":
+        raise ValueError(f"unknown L-infinity selector {selector!r}")
+    if mesh is not None and mesh.acoustic:
+        vx, vy = U[..., 1, :, :], U[..., 2, :, :]
+    else:
+        vx, vy = U[..., 0, :, :], U[..., 1, :, :]
+    return float(np.sqrt(np.max(vx ** 2 + vy ** 2)))
 
 
 @dataclass
@@ -71,7 +68,7 @@ def _history_block(record, box):
     return record.history[:, kx0 - ox0:kx1 - ox0, ly0 - oy0:ly1 - oy0]
 
 
-def pml_error(record, reference, interior_box, horizon=None, field=None):
+def pml_error(record, reference, interior_box, horizon=None):
     """L-infinity and L2 differences against a reference run on an interior box.
 
     Both runs must carry field history on meshes that agree (element size and
@@ -99,12 +96,10 @@ def pml_error(record, reference, interior_box, horizon=None, field=None):
         ta, A, B = ta[:keep], A[:keep], B[:keep]
 
     diff = A - B
-    if field is None:
-        field = record.linf_field
     h = mesh_a.ref.weights
     kx0, kx1, ly0, ly1 = mesh_a.element_range_for_box(interior_box)
     jac = mesh_a.jac[kx0:kx1, ly0:ly1]
-    linf = np.array([linf_norm(d, field, mesh_a) for d in diff])
+    linf = np.array([linf_norm(d, record.linf_field, mesh_a) for d in diff])
     per = np.einsum("tklaij,tklaij,i,j->tkl", diff, diff, h, h)
     l2 = np.sqrt(np.sum(per * jac, axis=(1, 2)))
     return ErrorSeries(times=ta, linf=linf, l2=l2)

@@ -119,14 +119,17 @@ class ElasticMedium2D:
         slow branch over propagation direction."""
         th = np.linspace(0.0, np.pi, _SPEED_SCAN_DIRECTIONS, endpoint=False)
         n1, n2 = np.cos(th), np.sin(th)
-        # closed-form eigenvalues of the symmetric 2x2 Christoffel tensor
-        a = self.c11 * n1 ** 2 + self.c33 * n2 ** 2
-        c = self.c33 * n1 ** 2 + self.c22 * n2 ** 2
-        b = (self.c12 + self.c33) * n1 * n2
-        mid = 0.5 * (a + c)
-        rad = np.sqrt((0.5 * (a - c)) ** 2 + b ** 2)
-        fast = np.sqrt((mid + rad) / self.rho)
-        slow = np.sqrt(np.maximum(mid - rad, 0.0) / self.rho)
+        # closed-form eigenvalues of the symmetric 2x2 Christoffel tensor;
+        # stiffnesses near the float range overflow to inf or nan quietly,
+        # and the scenario reader rejects a speed that is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = self.c11 * n1 ** 2 + self.c33 * n2 ** 2
+            c = self.c33 * n1 ** 2 + self.c22 * n2 ** 2
+            b = (self.c12 + self.c33) * n1 * n2
+            mid = 0.5 * (a + c)
+            rad = np.sqrt((0.5 * (a - c)) ** 2 + b ** 2)
+            fast = np.sqrt((mid + rad) / self.rho)
+            slow = np.sqrt(np.maximum(mid - rad, 0.0) / self.rho)
         return WaveSpeeds(c_p=float(fast.max()), c_s=float(slow.min()))
 
     def impedances(self, axis):

@@ -105,8 +105,6 @@ class ReferenceElement1D:
         nodes: N+1 GLL nodes
         weights: quadrature weights h_m (diagonal of the norm H)
         D: differentiation matrix
-        Q: H @ D, satisfying the SBP property Q + Q^T = B(1,1) - B(-1,-1)
-        e_left, e_right: boundary projection vectors (coordinate vectors on GLL)
     """
 
     def __init__(self, N):
@@ -115,11 +113,3 @@ class ReferenceElement1D:
         self.nodes = nodes
         self.weights = weights
         self.D = derivative_matrix_from_nodes(nodes)
-        self.Q = np.diag(weights) @ self.D
-        self.e_left = lagrange_eval(nodes, -1.0)
-        self.e_right = lagrange_eval(nodes, 1.0)
-
-    def sbp_residual(self):
-        """Max-norm defect of Q + Q^T = B(1,1) - B(-1,-1)."""
-        B = np.outer(self.e_right, self.e_right) - np.outer(self.e_left, self.e_left)
-        return np.max(np.abs(self.Q + self.Q.T - B))

@@ -1,4 +1,4 @@
-"""PML damping profile, strength formula and complex stretching metric."""
+"""PML damping profile and strength formula."""
 
 from dataclasses import dataclass
 
@@ -22,21 +22,6 @@ def damping_strength(c_p, delta, tol):
     if not 0 < tol <= 1:
         raise ValueError(f"tol must be in (0, 1], got {tol}")
     return 4.0 * c_p / (2.0 * delta) * np.log(1.0 / tol)
-
-
-def stretching_metric(s, d, alpha, gamma=1.0):
-    """Complex stretching S = gamma (1 + d / (s + alpha)).
-
-    Satisfies the inverse identity 1/S = 1/gamma - (1/S) d/(s + alpha).
-    """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if d < 0 or alpha < 0:
-        raise ValueError("d and alpha must be nonnegative")
-    s = complex(s)
-    if s == -alpha:
-        raise ZeroDivisionError("stretching metric has a pole at s = -alpha")
-    return gamma * (1.0 + d / (s + alpha))
 
 
 @dataclass(frozen=True)

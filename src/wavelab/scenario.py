@@ -19,6 +19,7 @@ from . import media as media_mod
 from . import pml as pml_mod
 from .errors import ConfigurationError
 from .solver import SolverConfig, build_mesh, timestep_formula
+from .solver.mesh import element_count
 
 SCHEMA_VERSION = 1
 
@@ -224,13 +225,6 @@ SCHEMA = obj({
 })
 
 
-def _element_count(span, size):
-    """span / size when that is a whole number, else None."""
-    ratio = span / size
-    n = round(ratio) if math.isfinite(ratio) else math.nan
-    return n if abs(ratio - n) <= 1e-9 * max(1.0, ratio) else None
-
-
 class Scenario(SimpleNamespace):
     """The keys of ``SCHEMA``, resolved, as attributes; but ``domain`` is
     (x0, x1, y0, y1), ``medium`` is ``media`` (one or two) and ``interface``
@@ -294,11 +288,11 @@ def from_dict(data):
     for axis, (lo, hi) in v["domain"].items():
         if not hi > lo:
             raise ConfigurationError(f"domain.{axis}: must be increasing")
-        if not _element_count(hi - lo, size):
+        if not element_count(hi - lo, size):
             raise ConfigurationError(f"element_size: {size} does not divide "
                                      f"the {axis} extent {hi - lo}")
     pml = v["pml"] = SimpleNamespace(**v["pml"])
-    if pml.sides and not _element_count(pml.width, size):
+    if pml.sides and not element_count(pml.width, size):
         raise ConfigurationError(f"pml.width: {pml.width} does not span an "
                                  f"integer number of size-{size} elements")
     if v["stop_time"] is not None and v["stop_time"] > v["final_time"]:
@@ -310,9 +304,13 @@ def from_dict(data):
 
     domain, theta, _ = v.pop("domain"), v.pop("theta"), v.pop("schema")
     v["media"], v["interface"] = v.pop("medium")
+    speeds = [m.wave_speeds().c_p for m in v["media"]]
+    for c_p in speeds:  # inf, nan or 0 if arithmetic left the float range
+        if not 0.0 < c_p < math.inf:
+            raise ConfigurationError(f"medium: wave speed c_p = {c_p} is not "
+                                     f"a positive finite number")
     sc = Scenario(**v, domain=(*domain["x"], *domain["y"]), raw=data,
-                  theta_x=theta["x"], theta_y=theta["y"],
-                  c_p_max=max(m.wave_speeds().c_p for m in v["media"]))
+                  theta_x=theta["x"], theta_y=theta["y"], c_p_max=max(speeds))
 
     mx0, mx1, my0, my1 = sc.mesh_extents()
     # floats, so a huge count compares (as inf at worst) instead of raising
@@ -337,7 +335,7 @@ def from_dict(data):
         axis, position = sc.interface
         lo, hi = (mx0, mx1) if axis == "x" else (my0, my1)
         if not (lo <= position <= hi
-                and _element_count(position - lo, size) is not None):
+                and element_count(position - lo, size) is not None):
             raise ConfigurationError(f"medium.interface.position: "
                                      f"{position} is not on an element edge")
     return sc

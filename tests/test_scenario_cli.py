@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -338,6 +339,12 @@ PROBES = {
         "interface": {"axis": "x", "position": 0.0}}), "medium.two[1]"),
     "element-size-tiny": (_set(["element_size"], 1e-300), "element_size"),
     "final-time-huge": (_set(["final_time"], 1e12), "final_time"),
+    # wave speeds that overflow to inf (dt would be 0)
+    "acoustic-infinite-speed": (_set(["medium"], {
+        "type": "acoustic", "rho": 1e-320, "kappa": 1.0}), "medium"),
+    "elastic-infinite-speed": (_set(["medium"], {
+        "type": "elastic", "rho": 1.0, "c11": 1e308, "c12": 0.0,
+        "c22": 1e308, "c33": 1e308}), "medium"),
 }
 
 
@@ -346,8 +353,10 @@ def test_malformed_scenario_names_its_key(probe, tmp_path, capsys):
     mutate, key = PROBES[probe]
     data = copy.deepcopy(scenario.load_preset("acoustic-waveguide").raw)
     mutate(data)
-    with pytest.raises(ConfigurationError, match=f"^{re.escape(key)}: "):
-        scenario.from_dict(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a rejection prints no warning
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(key)}: "):
+            scenario.from_dict(data)
     path = write_scenario(tmp_path, data)
     assert cli.main(["run", path]) == cli.EXIT_CONFIG
     assert f"configuration error: {key}: " in capsys.readouterr().err

@@ -153,6 +153,10 @@ def test_run_records_receivers_and_snapshots():
     assert rec.receiver_series[0][0][0] == pytest.approx(1.0)
     assert set(rec.snapshots) == {0.0, 0.4}
     assert np.array_equal(rec.snapshots[0.4], rec.final_state.U)
+    # the record keeps the stepped vector, not the RK4 stage vectors
+    U_final = split(rec.final_state.y, mesh)[0]
+    assert np.array_equal(U_final, rec.snapshots[0.4])
+    assert rec.final_state.stages is None
 
 
 def test_gaussian_pulse_peaks_at_one_on_a_node():
@@ -224,11 +228,40 @@ def test_divergence_guard_raises_with_partial_record():
     st = smooth_random_state(mesh, seed=6, amplitude=0.1)
     with pytest.raises(UnstableRunError) as info:
         run(mesh, SolverConfig(final_time=2000.0), initial=st,
-            divergence_factor=20.0)
+            divergence_factor=20.0, receivers=[(0.0, 5.0), (15.0, 2.5)],
+            snapshot_times=[0.0], record_fields=True, history_stride=7)
     rec = info.value.record
     assert rec.status == "unstable"
     assert info.value.time == pytest.approx(rec.times[-1], abs=1e-9)
     assert rec.linf[-1] > 20.0 * rec.linf[0]
+    # every series covers the steps sampled, the guard's step included
+    n = len(rec.times)
+    assert n > 1 and rec.linf.shape == rec.energy.shape == (n,)
+    assert rec.receiver_series.shape == (2, n, mesh.m)
+    assert np.all(np.isfinite(rec.receiver_series))
+    assert np.array_equal(rec.history_times, rec.times[::7])
+    assert len(rec.history) == len(rec.history_times)
+    assert set(rec.snapshots) == {0.0}
+    assert rec.final_state.stages is None
+
+
+def test_non_finite_state_raises_with_the_steps_before_it():
+    """A non-finite state is not sampled, so the record ends one step before
+    the blow-up time."""
+    mesh = closed_box(ACOUSTIC)
+    st = smooth_random_state(mesh, seed=8)
+    st.U[0, 0, 0, 1, 1] = np.nan
+    with pytest.raises(UnstableRunError, match="non-finite") as info:
+        run(mesh, SolverConfig(final_time=1.0), initial=st,
+            receivers=[(1.0, 1.0)], record_fields=True, history_stride=1)
+    rec = info.value.record
+    assert rec.status == "unstable"
+    assert rec.times.tolist() == [0.0]
+    assert rec.blowup_time == info.value.time == rec.dt
+    assert rec.linf.shape == rec.energy.shape == (1,)
+    assert rec.receiver_series.shape == (1, 1, mesh.m)
+    assert rec.history_times.tolist() == [0.0] and len(rec.history) == 1
+    assert rec.final_state.stages is None
 
 
 def test_standing_mode_satisfies_wave_equation_discretely():
