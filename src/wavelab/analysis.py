@@ -16,6 +16,8 @@ from .media import ElasticMedium2D
 
 TOL_GSC = 1e-10
 
+MIN_DIRECTIONS = 16
+
 # relative gap under which two frequency branches count as degenerate
 _DEGENERATE_RTOL = 1e-7
 
@@ -156,8 +158,8 @@ def geometric_stability_check(medium, axis, n_directions=720):
     The medium is geometrically stable along ``axis`` when the product is
     nonnegative (within TOL_GSC) at every sampled point of every branch.
     """
-    if n_directions < 16:
-        raise ValueError("need at least 16 directions")
+    if n_directions < MIN_DIRECTIONS:
+        raise ValueError(f"need at least {MIN_DIRECTIONS} directions")
     ax = {"x": 0, "y": 1}[axis]
     angles, points, skipped = slowness_scan(medium, n_directions)
     n_branches = max(p.branch for p in points) + 1

@@ -307,6 +307,10 @@ def main(argv=None):
                   f"dt={record.dt:.6g} s, final linf={record.linf[-1]:.6g}")
             return EXIT_OK
         if args.command == "analyze":
+            if args.directions < analysis.MIN_DIRECTIONS:
+                raise ConfigurationError(
+                    f"--directions: need at least {analysis.MIN_DIRECTIONS}, "
+                    f"got {args.directions}")
             reports = write_analysis_artifacts(
                 args.medium, args.axis, args.directions, args.out)
             for ax, rep in sorted(reports.items()):

@@ -9,8 +9,12 @@ Field ordering of the unknown vector U:
 
 The governing system is P^{-1} dU/dt = A_x dU/dx + A_y dU/dy with symmetric
 constant A_xi and symmetric positive definite P.
+
+``face_pairs(axis)`` gives the characteristic pairs (q, v, Z) of a face: the
+indices in U of a traction and of its velocity, and their impedance.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,19 +29,6 @@ _SPEED_SCAN_DIRECTIONS = 1440
 class WaveSpeeds:
     c_p: float
     c_s: float | None = None
-
-
-@dataclass(frozen=True)
-class Impedances:
-    """Per-face-axis impedances.
-
-    ``normal`` couples the face-normal velocity with the normal traction
-    (pressure for acoustics), ``tangential`` the in-plane shear pair.  For
-    acoustics only ``normal`` is meaningful.
-    """
-
-    normal: float
-    tangential: float | None = None
 
 
 @dataclass(frozen=True)
@@ -72,8 +63,9 @@ class AcousticMedium:
     def wave_speeds(self):
         return WaveSpeeds(c_p=self.c)
 
-    def impedances(self, axis=None):
-        return Impedances(normal=self.rho * self.c)
+    def face_pairs(self, axis):
+        """((p, v_n, rho c),) on a face normal to ``axis``."""
+        return ((0, 1 + ("x", "y").index(axis), self.rho * self.c),)
 
     def coefficient_matrices(self):
         P = np.diag([self.kappa, 1.0 / self.rho, 1.0 / self.rho])
@@ -132,18 +124,14 @@ class ElasticMedium2D:
             slow = np.sqrt(np.maximum(mid - rad, 0.0) / self.rho)
         return WaveSpeeds(c_p=float(fast.max()), c_s=float(slow.min()))
 
-    def impedances(self, axis):
-        """Face-axis impedances: Z = sqrt(rho * c_aa) along the 1D
-        characteristics normal to the face, Z_s = sqrt(rho * c33) for the
-        tangential shear pair."""
-        if axis == "x":
-            c_nn = self.c11
-        elif axis == "y":
-            c_nn = self.c22
-        else:
-            raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-        return Impedances(normal=float(np.sqrt(self.rho * c_nn)),
-                          tangential=float(np.sqrt(self.rho * self.c33)))
+    def face_pairs(self, axis):
+        """((T_n, v_n, sqrt(rho c_nn)), (T_t, v_t, sqrt(rho c33))) on a face
+        normal to ``axis``: on x (sxx, vx) and (sxy, vy), on y (syy, vy) and
+        (sxy, vx)."""
+        n = ("x", "y").index(axis)
+        c_nn = (self.c11, self.c22)[n]
+        return ((2 + n, n, float(np.sqrt(self.rho * c_nn))),
+                (4, 1 - n, float(np.sqrt(self.rho * self.c33))))
 
     def coefficient_matrices(self):
         # a_xi select the face tractions: T = a_xi sigma
@@ -163,6 +151,17 @@ class ElasticMedium2D:
         return CoefficientMatrices(
             P=P, A_x=A_x, A_y=A_y,
             fields=("vx", "vy", "sxx", "syy", "sxy"))
+
+
+def max_wave_speed(media):
+    """The largest c_p of the media, each of which must be a positive finite
+    number: arithmetic that leaves the float range gives inf, nan or 0."""
+    speeds = [med.wave_speeds().c_p for med in media]
+    for c_p in speeds:
+        if not 0.0 < c_p < math.inf:
+            raise InvalidMediumError(f"wave speed c_p = {c_p} is not a "
+                                     "positive finite number")
+    return max(speeds)
 
 
 def is_acoustic(medium):

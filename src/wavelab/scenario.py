@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 from . import media as media_mod
 from . import pml as pml_mod
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InvalidMediumError
 from .solver import SolverConfig, build_mesh, timestep_formula
 from .solver.mesh import element_count
 
@@ -158,7 +158,10 @@ def medium(value):
     if not (isinstance(kind, str) and kind in _MEDIUM_SPECS):
         raise Invalid(f"must be 'acoustic' or 'elastic', got {kind!r}", "type")
     _MEDIUM_SPECS[kind](spec)
-    return media_mod.from_config(value)
+    try:
+        return media_mod.from_config(value)
+    except InvalidMediumError as exc:
+        raise Invalid(str(exc)) from None
 
 
 _TWO_MEDIA = obj({
@@ -304,13 +307,16 @@ def from_dict(data):
 
     domain, theta, _ = v.pop("domain"), v.pop("theta"), v.pop("schema")
     v["media"], v["interface"] = v.pop("medium")
-    speeds = [m.wave_speeds().c_p for m in v["media"]]
-    for c_p in speeds:  # inf, nan or 0 if arithmetic left the float range
-        if not 0.0 < c_p < math.inf:
-            raise ConfigurationError(f"medium: wave speed c_p = {c_p} is not "
-                                     f"a positive finite number")
+    try:
+        c_p_max = media_mod.max_wave_speed(v["media"])
+    except InvalidMediumError as exc:
+        raise ConfigurationError(f"medium: {exc}") from None
+    if v["initial"]["type"] == "standing-mode" and (
+            v["interface"] or not media_mod.is_acoustic(v["media"][0])):
+        raise ConfigurationError("initial.type: standing-mode is exact only "
+                                 "for one uniform acoustic medium")
     sc = Scenario(**v, domain=(*domain["x"], *domain["y"]), raw=data,
-                  theta_x=theta["x"], theta_y=theta["y"], c_p_max=max(speeds))
+                  theta_x=theta["x"], theta_y=theta["y"], c_p_max=c_p_max)
 
     mx0, mx1, my0, my1 = sc.mesh_extents()
     # floats, so a huge count compares (as inf at worst) instead of raising

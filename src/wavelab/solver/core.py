@@ -85,13 +85,7 @@ def _volume_terms(mesh, U, Vx, Vy, scratch):
     Vy *= (mesh.ry[:, None] * mesh.inv_gamma_y)[None, :, None, None, :]
 
 
-# Per face-normal axis: the low and the high boundary side, and the trace
-# fields handed to the flux kernels, (p, v_n) for acoustics and
-# (T_n, T_t, v_n, v_t) for elasticity.
-_AXES = {
-    "x": ("west", "east", (0, 1), (2, 4, 0, 1)),
-    "y": ("south", "north", (0, 2), (3, 4, 1, 0)),
-}
+_SIDES = {"x": ("west", "east"), "y": ("south", "north")}
 
 
 def _along(a, axis):
@@ -107,31 +101,23 @@ def _fluctuations(mesh, U, axis):
     """Lifted fluctuations H^{-1} e(-1) FL and H^{-1} e(+1) FR on the low and
     high faces of every element, each shaped like a face slice of
     ``_along(U, axis)``."""
-    low, high, acoustic_fields, elastic_fields = _AXES[axis]
-    Z = [_along(mesh.Z_normal[axis], axis)[..., None]]
-    if mesh.acoustic:
-        fields = acoustic_fields
-        face = fluxes.acoustic_face_fluctuations
-        boundary = fluxes.acoustic_boundary_fluctuation
-    else:
-        fields = elastic_fields
-        Z.append(_along(mesh.Z_tangential[axis], axis)[..., None])
-        face = fluxes.elastic_face_fluctuations
-        boundary = fluxes.elastic_boundary_fluctuation
+    low, high = _SIDES[axis]
+    pairs = [(q, v, s, _along(Z, axis)[..., None])
+             for q, v, s, Z in mesh.face_pairs[axis]]
     V = _along(U, axis)
     lo, hi = V[:, :, :, 0], V[:, :, :, -1]
-
-    def traces(values, elements):
-        return ([values[elements, :, f] for f in fields]
-                + [z[elements] for z in Z])
-
-    # in U's memory order, which keeps rhs's face updates on y fast
-    FL = _along(np.empty((mesh.K, mesh.L, mesh.m, mesh.n)), axis)
-    FR = np.empty_like(FL)
-    FR[:-1], FL[1:] = face(axis, *traces(hi, np.s_[:-1]),
-                           *traces(lo, np.s_[1:]))
-    for side, trace, F, k in ((low, lo, FL, 0), (high, hi, FR, -1)):
-        F[k] = boundary(axis, side, *traces(trace, k), mesh.boundary_r[side])
+    # in U's memory order, which keeps rhs's face updates on y fast; rows
+    # that no pair fills stay zero
+    FL = _along(np.zeros((mesh.K, mesh.L, mesh.m, mesh.n)), axis)
+    FR = np.zeros_like(FL)
+    fluxes.elastic_face_fluctuations(
+        [(q, v, s, Z[:-1], Z[1:]) for q, v, s, Z in pairs],
+        hi[:-1], lo[1:], FR[:-1], FL[1:])
+    for side, trace, F, k, outward in ((low, lo, FL, 0, -1.0),
+                                       (high, hi, FR, -1, 1.0)):
+        fluxes.elastic_boundary_fluctuation(
+            [(q, v, s, Z[k]) for q, v, s, Z in pairs], trace[k], F[k],
+            mesh.boundary_r[side], outward)
     h = mesh.ref.weights
     scale = (mesh.qx if axis == "x" else mesh.ry)[:, None, None, None]
     return scale * FL / h[0], scale * FR / h[-1]
@@ -252,10 +238,8 @@ def initial_state(mesh, init=None):
     if kind == "gaussian-pulse":
         f = gaussian_pulse(mesh, center=init.get("center"),
                            width_sq=init.get("width_sq", 9.0))
-        if mesh.acoustic:
-            state.U[:, :, 0] = f
-        else:
-            state.U[:, :, 0] = f
+        state.U[:, :, 0] = f
+        if not mesh.acoustic:
             state.U[:, :, 1] = f
         return state
     if kind == "standing-mode":

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..media import is_acoustic
+from ..media import is_acoustic, max_wave_speed
 from ..operators import ReferenceElement1D
 
 SIDES = ("west", "east", "south", "north")
@@ -20,7 +20,7 @@ def element_count(span, size):
 
 
 class Mesh:
-    """K x L grid of affine elements holding media, impedances and damping.
+    """K x L grid of affine elements holding media, face pairs and damping.
 
     Element (kx, ly) spans [x_edges[kx], x_edges[kx+1]] x
     [y_edges[ly], y_edges[ly+1]].  Nodal data arrays are indexed
@@ -88,14 +88,15 @@ class Mesh:
         self.A_y = cms[0].A_y
         self.Pmat = np.array([cm.P for cm in cms])[index]
         self.Pinv = np.array([np.linalg.inv(cm.P) for cm in cms])[index]
-        # per-element, per-axis impedances for the face characteristics
-        self.Z_normal, self.Z_tangential = {}, {}
-        for axis in ("x", "y"):
-            imps = [med.impedances(axis) for med in distinct]
-            self.Z_normal[axis] = np.array([imp.normal for imp in imps])[index]
-            self.Z_tangential[axis] = np.array(
-                [imp.tangential or 0.0 for imp in imps])[index]
-        self.c_max = max(med.wave_speeds().c_p for med in distinct)
+        # per axis, the faces' characteristic pairs (q, v, s, Z): indices from
+        # the medium, s = A_n[v, q] and Z gathered per element
+        self.face_pairs = {}
+        for axis, A in (("x", self.A_x), ("y", self.A_y)):
+            pairs = [med.face_pairs(axis) for med in distinct]
+            self.face_pairs[axis] = tuple(
+                (q, v, A[v, q], np.array([p[i][2] for p in pairs])[index])
+                for i, (q, v, _) in enumerate(pairs[0]))
+        self.c_max = max_wave_speed(distinct)
 
     # -- damping ----------------------------------------------------------
 

@@ -82,30 +82,52 @@ def test_boundary_quadratic_form_elastic():
 
 
 def test_impedances_acoustic():
-    imp = media.preset("acoustic-484").impedances()
-    assert imp.normal == pytest.approx(1.484, abs=1e-12)
+    med = media.preset("acoustic-484")
+    # one pair per face axis: pressure with the face-normal velocity
+    assert [(q, v) for q, v, _ in med.face_pairs("x")] == [(0, 1)]
+    assert [(q, v) for q, v, _ in med.face_pairs("y")] == [(0, 2)]
+    for axis in "xy":
+        (_, _, Z), = med.face_pairs(axis)
+        assert Z == pytest.approx(1.484, abs=1e-12)
 
 
 def test_impedances_isotropic_table():
     med = media.preset("iso-table1")
-    imp = med.impedances("x")
-    assert imp.normal == pytest.approx(16.2, abs=1e-12)
-    assert imp.tangential == pytest.approx(2.7 * np.sqrt(30.17 / 2.7),
-                                           rel=1e-12)
-    assert imp.tangential == pytest.approx(9.0253, abs=2e-4)
-    # isotropic: both face axes agree
-    impy = med.impedances("y")
-    assert impy.normal == imp.normal and impy.tangential == imp.tangential
+    (qn, vn, Zn), (qt, vt, Zt) = med.face_pairs("x")
+    assert (qn, vn, qt, vt) == (2, 0, 4, 1)  # (sxx, vx), (sxy, vy)
+    assert Zn == pytest.approx(16.2, abs=1e-12)
+    assert Zt == pytest.approx(2.7 * np.sqrt(30.17 / 2.7), rel=1e-12)
+    assert Zt == pytest.approx(9.0253, abs=2e-4)
+    # isotropic: both face axes agree on the impedances
+    (qn, vn, Zny), (qt, vt, Zty) = med.face_pairs("y")
+    assert (qn, vn, qt, vt) == (3, 1, 4, 0)  # (syy, vy), (sxy, vx)
+    assert Zny == Zn and Zty == Zt
 
 
 def test_impedances_anisotropic_axis_dependence():
     med = media.preset("am1-table1")
-    assert med.impedances("x").normal == pytest.approx(
+    assert med.face_pairs("x")[0][2] == pytest.approx(
         np.sqrt(20.0 / 36.0 * 20.0))
-    assert med.impedances("y").normal == pytest.approx(
+    assert med.face_pairs("y")[0][2] == pytest.approx(
         np.sqrt(20.0 / 36.0 * 4.0))
     with pytest.raises(ValueError):
-        med.impedances("z")
+        med.face_pairs("z")
+
+
+def test_face_pairs_couple_through_the_coefficient_matrices():
+    """Each pair (q, v) is an off-diagonal entry s = A_n[v, q] = A_n[q, v]
+    of the face-normal coefficient matrix, -1 for acoustics and +1 for
+    elasticity, and the pairs hold every nonzero entry of A_n."""
+    for name, s in (("acoustic-484", -1.0), ("iso-table1", 1.0),
+                    ("am1-table1", 1.0)):
+        med = media.preset(name)
+        cm = med.coefficient_matrices()
+        for axis, A in (("x", cm.A_x), ("y", cm.A_y)):
+            coupled = np.zeros_like(A)
+            for q, v, _ in med.face_pairs(axis):
+                assert A[v, q] == A[q, v] == s
+                coupled[v, q] = coupled[q, v] = s
+            np.testing.assert_array_equal(coupled, A)
 
 
 def test_invalid_media_rejected():

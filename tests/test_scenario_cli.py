@@ -196,6 +196,17 @@ def test_cli_analyze_violating_medium(tmp_path):
     assert payload["verdict"] == "unstable"
 
 
+@pytest.mark.parametrize("directions", ["5", "0", "-3"])
+def test_cli_analyze_rejects_too_few_directions(directions, tmp_path,
+                                                capsys):
+    out = tmp_path / "an"
+    code = cli.main(["analyze", "--medium", "am1-table1", "--directions",
+                     directions, "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "configuration error: --directions: " in capsys.readouterr().err
+    assert not out.exists()  # nothing is written
+
+
 def test_run_preset_stability_analysis(tmp_path):
     status, reports = cli.run_preset("stability-analysis",
                                      out_dir=str(tmp_path),
@@ -304,6 +315,15 @@ def _set(path, value):
 _ELASTIC = {"type": "elastic", "rho": 1.0, "c11": 4.0, "c12": 1.0,
             "c22": 4.0, "c33": 2.0}
 _NO_C11 = {k: v for k, v in _ELASTIC.items() if k != "c11"}
+_NEGATIVE_RHO = {"type": "acoustic", "rho": -1.0, "kappa": 1.0}
+
+
+def _both(first, second):
+    def mutate(data):
+        first(data)
+        second(data)
+    return mutate
+
 
 # (mutation of acoustic-waveguide, key path the error must name)
 PROBES = {
@@ -345,6 +365,19 @@ PROBES = {
     "elastic-infinite-speed": (_set(["medium"], {
         "type": "elastic", "rho": 1.0, "c11": 1e308, "c12": 0.0,
         "c22": 1e308, "c33": 1e308}), "medium"),
+    # parameters the medium itself rejects
+    "acoustic-negative-rho": (_set(["medium"], _NEGATIVE_RHO), "medium"),
+    "two-media-negative-rho": (_set(["medium"], {
+        "two": ["acoustic-484", _NEGATIVE_RHO],
+        "interface": {"axis": "x", "position": 0.0}}), "medium.two[1]"),
+    # the standing mode is exact only for one uniform acoustic medium
+    "standing-mode-elastic": (_both(
+        _set(["medium"], "iso-table1"),
+        _set(["initial"], {"type": "standing-mode"})), "initial.type"),
+    "standing-mode-two-media": (_both(
+        _set(["medium"], {"two": ["acoustic-484", "acoustic-484"],
+                          "interface": {"axis": "x", "position": 0.0}}),
+        _set(["initial"], {"type": "standing-mode"})), "initial.type"),
 }
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wavelab import diagnostics, media, pml, scenario
-from wavelab.errors import UnstableRunError
+from wavelab.errors import InvalidMediumError, UnstableRunError
 from wavelab.solver import (SolverConfig, advance, build_mesh, rhs, rk4_step,
                             run, timestep, timestep_formula)
 from wavelab.solver.core import (gaussian_pulse, split, standing_mode,
@@ -19,6 +19,13 @@ ISO = media.preset("iso-table1")
 def closed_box(med, n_elem=2, degree=4, size=2.0):
     return build_mesh(0.0, n_elem * size, 0.0, n_elem * size, size, degree,
                       lambda x, y: med, R_CLOSED)
+
+
+def test_mesh_rejects_a_wave_speed_that_is_not_finite():
+    # kappa / rho overflows to inf: the time step would be zero
+    fast = media.AcousticMedium(rho=1e-320, kappa=1.0)
+    with pytest.raises(InvalidMediumError, match="c_p = inf"):
+        build_mesh(0.0, 10.0, 0.0, 10.0, 5.0, 2, lambda x, y: fast, R_CLOSED)
 
 
 def smooth_random_state(mesh, seed=0, amplitude=1.0):
