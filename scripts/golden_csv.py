@@ -1,4 +1,5 @@
-"""SHA-256 of every CSV body a set of short scenario runs writes.
+"""SHA-256 of every CSV body a set of short scenario runs writes, and of the
+plane-wave analysis artifacts.
 
 A refactor that must not change results is checked by running this script on
 the tree before and after it and comparing the two outputs line by line:
@@ -15,7 +16,10 @@ both axes, fractional reflection coefficients, snapshots and two receivers,
 for each medium preset; and two-media interfaces on x and on y with layers on
 east and north.  One ``cli.compare_abc`` case runs the acoustic waveguide's
 PML, ABC and reference runs, which record field history, and hashes their
-``error_series.csv``.  Output lines are ``<sha256>  <scenario>/<file>``,
+``error_series.csv``.  ``cli.write_analysis_artifacts`` scans each medium
+preset and ``aniso-violating`` on both axes at ``ANALYSIS_DIRECTIONS``
+directions, and its ``slowness.csv`` and ``stability_{x,y}.json`` are hashed
+under ``analysis-<medium>``.  Output lines are ``<sha256>  <scenario>/<file>``,
 sorted.
 """
 
@@ -28,6 +32,9 @@ from wavelab import cli, scenario
 PRESET_TIME = 6.0
 SHORT_PRESET_TIME = {"convergence-study": 0.7}
 ABC_TIME = 20.0
+ANALYSIS_MEDIA = ("acoustic-484", "iso-table1", "am1-table1",
+                  "aniso-violating")
+ANALYSIS_DIRECTIONS = 180
 
 
 def _variant(name, medium, sides, gamma=1.0, **extra):
@@ -79,8 +86,13 @@ def main():
         cli.compare_abc(scenario.with_overrides(
             scenario.load_preset("acoustic-waveguide"), final_time=ABC_TIME),
             outs[-1])
+        for name in ANALYSIS_MEDIA:
+            outs.append(Path(tmp) / f"analysis-{name}")
+            cli.write_analysis_artifacts(name, "both", ANALYSIS_DIRECTIONS,
+                                         outs[-1])
         for out in outs:
-            for path in sorted(out.glob("*.csv")):
+            for path in sorted([*out.glob("*.csv"),
+                                *out.glob("stability_*.json")]):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 lines.append(f"{digest}  {out.name}/{path.name}")
     print("\n".join(sorted(lines, key=lambda s: s.split("  ")[1])))

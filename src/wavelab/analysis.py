@@ -7,7 +7,7 @@ imaginary; writing s = i omega defines the frequency branches omega(k) from
 which phase/group velocities and the slowness surface follow.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,10 +22,19 @@ MIN_DIRECTIONS = 16
 _DEGENERATE_RTOL = 1e-7
 
 
-def _system_matrix(medium, k):
+def _roots(medium, k):
+    """Eigenvalues s of i (k_x P A_x + k_y P A_y) for wave vectors k shaped
+    (..., 2), all in one batched eigen solve: shape (..., m)."""
+    k = np.asarray(k, dtype=float)
+    if not np.all(np.any(k != 0.0, axis=-1)):
+        raise ValueError("wave vector must be nonzero")
     cm = medium.coefficient_matrices()
-    kx, ky = k
-    return 1j * (kx * cm.P @ cm.A_x + ky * cm.P @ cm.A_y)
+    kx, ky = k[..., 0, None, None], k[..., 1, None, None]
+    try:
+        return np.linalg.eigvals(
+            1j * (kx * cm.P @ cm.A_x + ky * cm.P @ cm.A_y))
+    except np.linalg.LinAlgError as exc:
+        raise InvalidMediumError(f"eigen solve failed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -42,71 +51,62 @@ def dispersion_roots(medium, k):
     imaginary up to solver tolerance.  ``omega_branches`` holds the distinct
     positive frequencies sorted ascending.
     """
-    kx, ky = k
-    norm = float(np.hypot(kx, ky))
-    if norm == 0.0:
-        raise ValueError("wave vector must be nonzero")
-    try:
-        roots = np.linalg.eigvals(_system_matrix(medium, k))
-    except np.linalg.LinAlgError as exc:
-        raise InvalidMediumError(f"eigen solve failed: {exc}") from exc
+    roots = _roots(medium, k)
     omega = np.sort(roots.imag[roots.imag > 1e-9 * np.max(np.abs(roots))])
-    return DispersionSample(k=(float(kx), float(ky)), roots=roots,
+    return DispersionSample(k=(float(k[0]), float(k[1])), roots=roots,
                             omega_branches=omega)
 
 
-def _omega_sorted(medium, k):
-    """Positive frequency branches at k, ascending (one per wave mode)."""
-    return dispersion_roots(medium, k).omega_branches
+def branches(medium, k):
+    """Frequency branches and group velocities at wave vectors k (..., 2).
+
+    Returns omega (..., b), the b = m // 2 positive frequencies ascending,
+    and V_g (..., b, 2), d omega / dk by central differences with step
+    h = 1e-6 |k|; k and its probes k +- h e_xi share one batched eigen solve.
+    V_g is NaN on a branch within ``_DEGENERATE_RTOL`` of a neighbour
+    (relative to the fastest), where sorted branches have no derivative.
+    The exact V_g,xi = w^T L^T A_xi L w (P = L L^T) would move the minimum
+    product V_p,xi V_g,xi of the seeded ``perfbench`` media by up to 2.4e-7
+    relative, beyond their stored 1e-7, so the differences stay, with the
+    one-direction arithmetic (k +- dk, |k| by a dot product) bit for bit.
+    """
+    k = np.asarray(k, dtype=float)[..., None, :]
+    h = 1e-6 * np.sqrt(k @ np.swapaxes(k, -1, -2))
+    probes = np.concatenate([k, k + h * np.eye(2), k - h * np.eye(2)], axis=-2)
+    roots = _roots(medium, probes)
+    b = roots.shape[-1] // 2
+    omega = np.sort(roots.imag, axis=-1)[..., -b:]
+    V_g = (omega[..., 1:3, :] - omega[..., 3:5, :]) / (2.0 * h)
+    omega, V_g = omega[..., 0, :], np.swapaxes(V_g, -1, -2)
+    gaps = (np.abs(omega[..., :, None] - omega[..., None, :])
+            + np.diag(np.full(b, np.inf)))
+    V_g[gaps.min(axis=-1) < _DEGENERATE_RTOL * omega[..., -1:]] = np.nan
+    return omega, V_g
 
 
 def group_velocity(medium, k, branch):
-    """Group velocity d omega / dk of one branch by central differences.
+    """Group velocity of one branch at one wave vector: ``branches`` at k.
 
-    The relative step is 1e-6 |k|.  Raises DegenerateBranchError when the
-    requested branch is repeated at k (sorted-order differentiation would be
-    meaningless there).
+    Raises DegenerateBranchError when the requested branch is repeated at k.
     """
-    k = np.asarray(k, dtype=float)
-    omega = _omega_sorted(medium, k)
+    omega, V_g = branches(medium, k)
     if branch < 0 or branch >= len(omega):
         raise ValueError(f"branch {branch} out of range (have {len(omega)})")
-    w0 = omega[branch]
-    gaps = np.abs(omega - w0)
-    gaps[branch] = np.inf
-    if np.min(gaps) < _DEGENERATE_RTOL * max(w0, np.max(omega)):
+    if np.isnan(V_g[branch]).any():
         raise DegenerateBranchError(
-            f"branch {branch} is degenerate at k={tuple(k)}")
-    h = 1e-6 * np.linalg.norm(k)
-    vg = np.empty(2)
-    for xi in range(2):
-        dk = np.zeros(2)
-        dk[xi] = h
-        wp = _omega_sorted(medium, k + dk)[branch]
-        wm = _omega_sorted(medium, k - dk)[branch]
-        vg[xi] = (wp - wm) / (2.0 * h)
-    return vg
-
-
-@dataclass(frozen=True)
-class SlownessPoint:
-    direction: np.ndarray
-    S: np.ndarray
-    V_p: np.ndarray
-    V_g: np.ndarray
-    branch: int
+            f"branch {branch} is degenerate at k={tuple(map(float, k))}")
+    return V_g[branch]
 
 
 @dataclass(frozen=True)
 class StabilityReport:
     axis: str
     angles: np.ndarray
-    products: np.ndarray          # (n_branches, n_directions)
+    products: np.ndarray          # (n_branches, n_directions), NaN degenerate
     verdict: str
     min_product: float
     worst_direction: np.ndarray
     worst_branch: int
-    skipped: np.ndarray = field(default=None)
 
     def to_dict(self):
         return {
@@ -130,26 +130,14 @@ def slowness_scan(medium, n_directions=720):
     """Sample the slowness surface on a uniform angular grid.
 
     The grid carries an irrational offset so no sampled direction is exactly
-    axis-aligned for any grid size.  Returns a list of SlownessPoint,
-    branches ordered slow-to-fast, with degenerate directions skipped.
+    axis-aligned for any grid size.  Returns the angles, the unit wave
+    vectors k (n, 2) and ``branches`` at k: omega (n, b) and V_g (n, b, 2).
+    A branch's slowness vector is k / omega, its phase velocity omega / k.
     """
     angles = 2.0 * np.pi * (np.arange(n_directions) + _GRID_OFFSET) \
         / n_directions
-    points = []
-    skipped = []
-    for th in angles:
-        k = np.array([np.cos(th), np.sin(th)])
-        omega = _omega_sorted(medium, k)
-        for b, w in enumerate(omega):
-            gaps = np.abs(omega - w)
-            gaps[b] = np.inf
-            if np.min(gaps) < _DEGENERATE_RTOL * np.max(omega):
-                skipped.append((th, b))
-                continue
-            vg = group_velocity(medium, k, b)
-            points.append(SlownessPoint(
-                direction=k, S=k / w, V_p=w / k, V_g=vg, branch=b))
-    return angles, points, skipped
+    k = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    return (angles, k, *branches(medium, k))
 
 
 def geometric_stability_check(medium, axis, n_directions=720):
@@ -161,28 +149,18 @@ def geometric_stability_check(medium, axis, n_directions=720):
     if n_directions < MIN_DIRECTIONS:
         raise ValueError(f"need at least {MIN_DIRECTIONS} directions")
     ax = {"x": 0, "y": 1}[axis]
-    angles, points, skipped = slowness_scan(medium, n_directions)
-    n_branches = max(p.branch for p in points) + 1
-    products = np.full((n_branches, n_directions), np.nan)
-    step = 2.0 * np.pi / n_directions
-    for p in points:
-        th = np.arctan2(p.direction[1], p.direction[0]) % (2.0 * np.pi)
-        idx = int(round((th / step) - _GRID_OFFSET)) % n_directions
-        products[p.branch, idx] = p.V_p[ax] * p.V_g[ax]
-    flat = products[np.isfinite(products)]
-    min_product = float(flat.min())
+    angles, k, omega, V_g = slowness_scan(medium, n_directions)
+    products = (omega / k[:, ax, None] * V_g[..., ax]).T
+    min_product = float(np.nanmin(products))
     worst = np.unravel_index(np.nanargmin(products), products.shape)
-    verdict = "stable" if min_product >= -TOL_GSC else "unstable"
-    worst_angle = angles[worst[1]]
     return StabilityReport(
         axis=axis,
         angles=angles,
         products=products,
-        verdict=verdict,
+        verdict="stable" if min_product >= -TOL_GSC else "unstable",
         min_product=min_product,
-        worst_direction=np.array([np.cos(worst_angle), np.sin(worst_angle)]),
+        worst_direction=k[worst[1]],
         worst_branch=int(worst[0]),
-        skipped=np.array(skipped) if skipped else np.empty((0, 2)),
     )
 
 

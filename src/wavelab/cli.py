@@ -110,19 +110,26 @@ def _resolve_medium(name):
 
 def write_analysis_artifacts(medium_name, axis="x", n_directions=720,
                              out_dir="out/analysis"):
-    """Slowness scan CSV plus per-axis stability verdict JSON."""
+    """Slowness scan CSV, one row per direction and non-degenerate branch,
+    plus per-axis stability verdict JSON."""
+    if n_directions < analysis.MIN_DIRECTIONS:
+        raise ConfigurationError(
+            f"--directions: need at least {analysis.MIN_DIRECTIONS}, "
+            f"got {n_directions}")
     medium = _resolve_medium(medium_name)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, points, _ = analysis.slowness_scan(medium, n_directions)
-    rows = []
-    for p in points:
-        angle = float(np.arctan2(p.direction[1], p.direction[0]))
-        rows.append([p.branch, angle, p.S[0], p.S[1], p.V_g[0], p.V_g[1],
-                     p.V_p[0] * p.V_g[0], p.V_p[1] * p.V_g[1]])
+    _, k, omega, V_g = analysis.slowness_scan(medium, n_directions)
+    keep = ~np.isnan(V_g[..., 0])
+    branch = np.broadcast_to(np.arange(omega.shape[1]), omega.shape)
+    angle = np.broadcast_to(np.arctan2(k[:, 1:], k[:, :1]), omega.shape)
+    S = k[:, None, :] / omega[..., None]
+    product = omega[..., None] / k[:, None, :] * V_g
     _write_csv(out / "slowness.csv",
                ["branch", "angle", "S_x", "S_y", "Vg_x", "Vg_y",
-                "product_x", "product_y"], rows)
+                "product_x", "product_y"],
+               np.column_stack([branch[keep], angle[keep], S[keep],
+                                V_g[keep], product[keep]]))
     reports = {}
     axes = ("x", "y") if axis == "both" else (axis,)
     for ax in axes:
@@ -307,10 +314,6 @@ def main(argv=None):
                   f"dt={record.dt:.6g} s, final linf={record.linf[-1]:.6g}")
             return EXIT_OK
         if args.command == "analyze":
-            if args.directions < analysis.MIN_DIRECTIONS:
-                raise ConfigurationError(
-                    f"--directions: need at least {analysis.MIN_DIRECTIONS}, "
-                    f"got {args.directions}")
             reports = write_analysis_artifacts(
                 args.medium, args.axis, args.directions, args.out)
             for ax, rep in sorted(reports.items()):

@@ -21,14 +21,8 @@ import numpy as np
 
 from .errors import InvalidMediumError
 
-# directions sampled when extremizing anisotropic wave speeds
+# directions sampled when maximizing anisotropic wave speeds
 _SPEED_SCAN_DIRECTIONS = 1440
-
-
-@dataclass(frozen=True)
-class WaveSpeeds:
-    c_p: float
-    c_s: float | None = None
 
 
 @dataclass(frozen=True)
@@ -60,8 +54,9 @@ class AcousticMedium:
     def c(self):
         return float(np.sqrt(self.kappa / self.rho))
 
-    def wave_speeds(self):
-        return WaveSpeeds(c_p=self.c)
+    def wave_speed(self):
+        """c_p, the sound speed."""
+        return self.c
 
     def face_pairs(self, axis):
         """((p, v_n, rho c),) on a face normal to ``axis``."""
@@ -106,9 +101,9 @@ class ElasticMedium2D:
                          [self.c12, self.c22, 0.0],
                          [0.0, 0.0, self.c33]])
 
-    def wave_speeds(self):
-        """Extremal speeds: c_p maximizes the fast branch, c_s minimizes the
-        slow branch over propagation direction."""
+    def wave_speed(self):
+        """c_p: the speed of the fast branch, maximized over propagation
+        direction."""
         th = np.linspace(0.0, np.pi, _SPEED_SCAN_DIRECTIONS, endpoint=False)
         n1, n2 = np.cos(th), np.sin(th)
         # closed-form eigenvalues of the symmetric 2x2 Christoffel tensor;
@@ -120,9 +115,7 @@ class ElasticMedium2D:
             b = (self.c12 + self.c33) * n1 * n2
             mid = 0.5 * (a + c)
             rad = np.sqrt((0.5 * (a - c)) ** 2 + b ** 2)
-            fast = np.sqrt((mid + rad) / self.rho)
-            slow = np.sqrt(np.maximum(mid - rad, 0.0) / self.rho)
-        return WaveSpeeds(c_p=float(fast.max()), c_s=float(slow.min()))
+            return float(np.sqrt((mid + rad) / self.rho).max())
 
     def face_pairs(self, axis):
         """((T_n, v_n, sqrt(rho c_nn)), (T_t, v_t, sqrt(rho c33))) on a face
@@ -156,7 +149,7 @@ class ElasticMedium2D:
 def max_wave_speed(media):
     """The largest c_p of the media, each of which must be a positive finite
     number: arithmetic that leaves the float range gives inf, nan or 0."""
-    speeds = [med.wave_speeds().c_p for med in media]
+    speeds = [med.wave_speed() for med in media]
     for c_p in speeds:
         if not 0.0 < c_p < math.inf:
             raise InvalidMediumError(f"wave speed c_p = {c_p} is not a "

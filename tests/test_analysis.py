@@ -1,9 +1,31 @@
 import numpy as np
 import pytest
 
-from oracles import find_violating_medium
+from oracles import (exact_group_velocity, fd_group_velocity,
+                     find_violating_medium, reference_branches,
+                     reference_scan)
 from wavelab import analysis, media
 from wavelab.errors import DegenerateBranchError
+
+
+# c11 = c22 = c12 + c33: the two branches have equal speed on the axes
+DEGENERATE_MEDIUM = media.ElasticMedium2D(rho=1.0, c11=2.0, c12=0.0, c22=2.0,
+                                          c33=2.0)
+
+ORACLE_MEDIA = {
+    "acoustic-484": media.preset("acoustic-484"),
+    "iso-table1": media.preset("iso-table1"),
+    "am1-table1": media.preset("am1-table1"),
+    "aniso-violating": analysis.VIOLATING_MEDIUM,
+    "degenerate": DEGENERATE_MEDIUM,
+}
+
+# the degenerate medium's branches meet on the axes and split by a relative
+# gap of about the angle off them: 5e-8 is under the degeneracy rule's 1e-7,
+# 3e-7 is over it
+WAVE_VECTORS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [1.0, 5e-8],
+                         [1.0, 3e-7], [1.0, 1.0], [0.3, -0.8], [2.0, 2.0],
+                         [-5.0, 0.25], [1e-3, 4e-3]])
 
 
 def sorted_imag(roots):
@@ -87,13 +109,60 @@ def test_group_velocity_am1_bounded_by_fastest_speed():
 
 
 def test_group_velocity_degenerate_branch_detected():
-    # c11 = c22 = c12 + c33 arrangement gives equal branch speeds on the axes
-    med = media.ElasticMedium2D(rho=1.0, c11=2.0, c12=0.0, c22=2.0, c33=2.0)
+    med = DEGENERATE_MEDIUM
     with pytest.raises(DegenerateBranchError):
         analysis.group_velocity(med, (1.0, 0.0), 0)
     # off the axes the branches split
     vg = analysis.group_velocity(med, (1.0, 1.0), 0)
     assert np.all(np.isfinite(vg))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MEDIA))
+def test_branches_equal_the_per_branch_oracle(name):
+    med = ORACLE_MEDIA[name]
+    omega, V_g = analysis.branches(med, WAVE_VECTORS)
+    want = [reference_branches(med, k) for k in WAVE_VECTORS]
+    assert np.array_equal(omega, np.array([w for w, _ in want]))
+    assert np.array_equal(V_g, np.array([v for _, v in want]), equal_nan=True)
+    if name == "degenerate":
+        # NaN on both branches within 1e-7 of the axes, where the oracle
+        # raises, and nowhere else
+        assert np.isnan(V_g[:4]).all() and not np.isnan(V_g[4:]).any()
+    for k, (w, v) in zip(WAVE_VECTORS, want):
+        for b in range(len(w)):
+            if np.isnan(v[b]).any():
+                with pytest.raises(DegenerateBranchError):
+                    analysis.group_velocity(med, k, b)
+            else:
+                assert np.array_equal(analysis.group_velocity(med, k, b),
+                                      fd_group_velocity(med, k, b))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MEDIA))
+def test_slowness_scan_equals_the_per_direction_oracle(name):
+    med = ORACLE_MEDIA[name]
+    angles, k, omega, V_g = analysis.slowness_scan(med, 180)
+    want_k, want_omega, want_V_g = reference_scan(med, angles)
+    assert np.array_equal(k, want_k)
+    assert np.array_equal(omega, want_omega)
+    assert np.array_equal(V_g, want_V_g, equal_nan=True)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MEDIA))
+def test_finite_difference_group_velocity_matches_eigenvectors(name):
+    med = ORACLE_MEDIA[name]
+    rng = np.random.default_rng(7)
+    k = rng.normal(size=(40, 2)) * rng.uniform(0.1, 30.0, size=(40, 1))
+    _, V_g = analysis.branches(med, k)
+    exact = np.array([exact_group_velocity(med, kk) for kk in k])
+    assert not np.isnan(V_g).any()
+    scale = np.linalg.norm(exact, axis=-1, keepdims=True)
+    assert np.all(np.abs(V_g - exact) <= 1e-6 * scale)
+
+
+def test_branches_reject_a_zero_wave_vector():
+    with pytest.raises(ValueError):
+        analysis.branches(media.preset("iso-table1"), [[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_group_velocity_branch_bounds():
@@ -178,10 +247,9 @@ def test_pml_spectrum_rejects_bad_arguments():
 
 
 def test_slowness_scan_offsets_axis_directions():
-    angles, points, skipped = analysis.slowness_scan(
+    angles, k, omega, V_g = analysis.slowness_scan(
         media.preset("acoustic-484"), 32)
-    assert len(points) == 32
-    assert not skipped
+    assert omega.shape == (32, 1) and V_g.shape == (32, 1, 2)
+    assert not np.isnan(V_g).any()
     # no sampled direction is axis aligned, so phase velocities stay finite
-    for p in points:
-        assert np.all(np.isfinite(p.V_p))
+    assert np.all(np.isfinite(omega[:, :, None] / k[:, None, :]))

@@ -207,6 +207,16 @@ def test_cli_analyze_rejects_too_few_directions(directions, tmp_path,
     assert not out.exists()  # nothing is written
 
 
+@pytest.mark.parametrize("n_directions", [5, 0, -3])
+def test_run_preset_stability_analysis_rejects_too_few_directions(
+        n_directions, tmp_path):
+    out = tmp_path / "sa"
+    with pytest.raises(ConfigurationError, match="need at least 16"):
+        cli.run_preset("stability-analysis", out_dir=str(out),
+                       n_directions=n_directions)
+    assert not out.exists()  # nothing is written
+
+
 def test_run_preset_stability_analysis(tmp_path):
     status, reports = cli.run_preset("stability-analysis",
                                      out_dir=str(tmp_path),
