@@ -14,12 +14,13 @@ the five shipped presets, shortened, plus variants that no preset exercises:
 a PML on all four sides (corners included) with gamma != 1, theta below 1 on
 both axes, fractional reflection coefficients, snapshots and two receivers,
 for each medium preset; and two-media interfaces on x and on y with layers on
-east and north.  One ``cli.compare_abc`` case runs the acoustic waveguide's
-PML, ABC and reference runs, which record field history, and hashes their
-``error_series.csv``.  ``cli.write_analysis_artifacts`` scans each medium
-preset and ``aniso-violating`` on both axes at ``ANALYSIS_DIRECTIONS``
-directions, and its ``slowness.csv`` and ``stability_{x,y}.json`` are hashed
-under ``analysis-<medium>``.  Output lines are ``<sha256>  <scenario>/<file>``,
+east and north.  Two ``cli.compare_abc`` cases, the acoustic waveguide and
+the all-sides acoustic variant, run their PML, ABC and reference runs, which
+record field history, and hash their ``error_series.csv``.
+``cli.write_analysis_artifacts`` scans each medium preset and
+``aniso-violating`` on both axes at ``ANALYSIS_DIRECTIONS`` directions, and
+its ``slowness.csv`` and ``stability_{x,y}.json`` are hashed under
+``analysis-<medium>``.  Output lines are ``<sha256>  <scenario>/<file>``,
 sorted.
 """
 
@@ -82,10 +83,15 @@ def main():
         for sc in scenarios():
             outs.append(Path(tmp) / sc.name)
             cli.run_scenario_with_artifacts(sc, outs[-1])
-        outs.append(Path(tmp) / "abc-comparison")
-        cli.compare_abc(scenario.with_overrides(
-            scenario.load_preset("acoustic-waveguide"), final_time=ABC_TIME),
-            outs[-1])
+        for name, base in (
+                ("abc-comparison", scenario.load_preset("acoustic-waveguide")),
+                ("abc-comparison-all-sides", _variant(
+                    "all-sides-acoustic-484", "acoustic-484",
+                    ["west", "east", "south", "north"], gamma=1.5,
+                    theta={"x": 0.5, "y": 0.25}))):
+            outs.append(Path(tmp) / name)
+            cli.compare_abc(scenario.with_overrides(base, final_time=ABC_TIME),
+                            outs[-1])
         for name in ANALYSIS_MEDIA:
             outs.append(Path(tmp) / f"analysis-{name}")
             cli.write_analysis_artifacts(name, "both", ANALYSIS_DIRECTIONS,

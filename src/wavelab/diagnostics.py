@@ -62,18 +62,13 @@ def reference_validity_horizon(interior_box, reference_extents, c_max,
     return max(0.0, (2.0 * dist - element_size) / c_max)
 
 
-def _history_block(record, box):
-    kx0, kx1, ly0, ly1 = record.mesh.element_range_for_box(box)
-    ox0, _, oy0, _ = record.interior_range
-    return record.history[:, kx0 - ox0:kx1 - ox0, ly0 - oy0:ly1 - oy0]
+def pml_error(record, reference, horizon=None):
+    """L-infinity and L2 differences against a reference run on the interior.
 
-
-def pml_error(record, reference, interior_box, horizon=None):
-    """L-infinity and L2 differences against a reference run on an interior box.
-
-    Both runs must carry field history on meshes that agree (element size and
-    degree) over ``interior_box``; times must line up sample-for-sample.
-    Entries beyond the caller-supplied validity ``horizon`` are dropped.
+    Both runs must carry field history, which covers ``mesh.interior``, on
+    meshes whose interiors agree (element size and degree); times must line
+    up sample-for-sample.  Entries beyond the caller-supplied validity
+    ``horizon`` are dropped.
     """
     if record.history is None or reference.history is None:
         raise ValueError("both runs must be recorded with record_fields=True")
@@ -85,8 +80,8 @@ def pml_error(record, reference, interior_box, horizon=None):
     tb = reference.history_times[:n]
     if not np.allclose(ta, tb, rtol=0, atol=1e-9):
         raise ValueError("recorded time grids do not line up")
-    A = _history_block(record, interior_box)[:n]
-    B = _history_block(reference, interior_box)[:n]
+    A = record.history[:n]
+    B = reference.history[:n]
     if A.shape != B.shape:
         raise ValueError(
             f"interior histories have different shapes {A.shape} vs {B.shape}")
@@ -97,7 +92,7 @@ def pml_error(record, reference, interior_box, horizon=None):
 
     diff = A - B
     h = mesh_a.ref.weights
-    kx0, kx1, ly0, ly1 = mesh_a.element_range_for_box(interior_box)
+    kx0, kx1, ly0, ly1 = mesh_a.interior
     jac = mesh_a.jac[kx0:kx1, ly0:ly1]
     linf = np.array([linf_norm(d, record.linf_field, mesh_a) for d in diff])
     per = np.einsum("tklaij,tklaij,i,j->tkl", diff, diff, h, h)

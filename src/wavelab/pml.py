@@ -1,4 +1,4 @@
-"""PML damping profile and strength formula."""
+"""PML layers around an interior box and the damping strength formula."""
 
 from dataclasses import dataclass
 
@@ -7,6 +7,9 @@ import numpy as np
 DEFAULT_ALPHA = 0.15
 DEFAULT_TOL = 1e-3
 DEFAULT_EXPONENT = 3
+DEFAULT_WIDTH = 10.0
+
+SIDES = ("west", "east", "south", "north")  # x low, x high, y low, y high
 
 
 def damping_strength(c_p, delta, tol):
@@ -25,31 +28,28 @@ def damping_strength(c_p, delta, tol):
 
 
 @dataclass(frozen=True)
-class PmlProfile:
-    """Monomial damping profile of one absorbing layer.
+class Layers:
+    """Absorbing layers of one ``width`` beyond the named ``sides`` of a box.
 
-    The layer occupies ``width`` kilometres beyond ``interior_extent`` along
-    ``axis``.  For ``side='high'`` damping grows with increasing coordinate,
-    d(xi) = d0 ((xi - L)/width)^p for xi >= L; for ``side='low'`` the profile
-    is mirrored.  The profile is zero in the interior and, for the default
-    cubic exponent, joins with two vanishing derivatives at the interface so
-    the layer is perfectly matched.
+    At distance r beyond the box, the ramp is (r / width)^exponent clipped
+    to [0, 1]; the damping is d0 ramp and the scaling 1 + (gamma - 1) ramp.
+    Both meet their interior values 0 and 1 at the box's edge, for the
+    default cubic exponent with two vanishing derivatives, so the layer is
+    perfectly matched.  With d0 = 0 and gamma = 1 a layer is the undamped
+    wave system.  ``Layers()`` has no sides.
     """
 
-    axis: str
-    interior_extent: float
-    width: float
-    d0: float
+    sides: tuple = ()
+    width: float = DEFAULT_WIDTH
+    d0: float = 0.0
     exponent: int = DEFAULT_EXPONENT
     alpha: float = DEFAULT_ALPHA
     gamma: float = 1.0
-    side: str = "high"
 
     def __post_init__(self):
-        if self.axis not in ("x", "y"):
-            raise ValueError(f"axis must be 'x' or 'y', got {self.axis!r}")
-        if self.side not in ("low", "high"):
-            raise ValueError(f"side must be 'low' or 'high', got {self.side!r}")
+        if len(set(self.sides) & set(SIDES)) != len(self.sides):
+            raise ValueError(f"sides must be distinct names from {SIDES}, "
+                             f"got {self.sides!r}")
         if not self.width > 0:
             raise ValueError(f"layer width must be positive, got {self.width}")
         if self.d0 < 0 or self.alpha < 0:
@@ -59,12 +59,13 @@ class PmlProfile:
         if self.exponent < 1:
             raise ValueError(f"exponent must be >= 1, got {self.exponent}")
 
-    def damping_at(self, xi):
-        """Damping d(xi), vectorized; clamped to d0 beyond the layer end."""
-        xi = np.asarray(xi, dtype=float)
-        if self.side == "high":
-            depth = (xi - self.interior_extent) / self.width
-        else:
-            depth = (self.interior_extent - xi) / self.width
-        depth = np.clip(depth, 0.0, 1.0)
-        return self.d0 * depth ** self.exponent
+    def extents(self, box):
+        """The box (x0, x1, y0, y1) grown by ``width`` on each layer side."""
+        x0, x1, y0, y1 = box
+        w = {side: self.width if side in self.sides else 0.0 for side in SIDES}
+        return x0 - w["west"], x1 + w["east"], y0 - w["south"], y1 + w["north"]
+
+    def ramp(self, xi, lo, hi):
+        """The ramp at coordinates xi of one axis whose box spans [lo, hi]."""
+        depth = np.maximum(lo - xi, xi - hi) / self.width
+        return np.clip(depth, 0.0, 1.0) ** self.exponent

@@ -18,6 +18,7 @@ from types import SimpleNamespace
 from . import media as media_mod
 from . import pml as pml_mod
 from .errors import ConfigurationError, InvalidMediumError
+from .operators import MAX_DEGREE
 from .solver import SolverConfig, build_mesh, timestep_formula
 from .solver.mesh import element_count
 
@@ -32,9 +33,6 @@ MAX_STEPS = 10**7
 PRESET_SCENARIOS = ("acoustic-waveguide", "elastic-iso-waveguide",
                     "elastic-aniso-waveguide", "reference-run",
                     "convergence-study")
-
-_SIDES = ("west", "east", "south", "north")
-
 
 # -- kinds: each reads a value, checks it and returns it resolved -------------
 class Invalid(Exception):
@@ -195,11 +193,11 @@ SCHEMA = obj({
     "domain": (obj({"x": (_RANGE, REQUIRED), "y": (_RANGE, REQUIRED)}),
                REQUIRED),
     "element_size": (_POSITIVE, REQUIRED),
-    "degree": (number("[1, 12]", whole=True), REQUIRED),
+    "degree": (number(f"[1, {MAX_DEGREE}]", whole=True), REQUIRED),
     "medium": (media, REQUIRED),
     "pml": (obj({
-        "sides": (list_of(one_of(*_SIDES), unique=True), ()),
-        "width": (_POSITIVE, 10.0),
+        "sides": (list_of(one_of(*pml_mod.SIDES), unique=True), ()),
+        "width": (_POSITIVE, pml_mod.DEFAULT_WIDTH),
         "tol": (number("(0, 1]"), pml_mod.DEFAULT_TOL),
         "alpha": (number("[0, inf)"), pml_mod.DEFAULT_ALPHA),
         "gamma": (_POSITIVE, 1.0),
@@ -207,7 +205,8 @@ SCHEMA = obj({
         "d0": (number("[0, inf)"), None),  # overrides the tol-derived d0
     }), {}),
     "theta": (obj({"x": (_UNIT, 1.0), "y": (_UNIT, 1.0)}), {}),
-    "boundaries": (obj({s: (number("[-1, 1]"), 0.0) for s in _SIDES}), {}),
+    "boundaries": (obj({s: (number("[-1, 1]"), 0.0)
+                        for s in pml_mod.SIDES}), {}),
     "cfl": (number("(0, 1]"), 0.9),
     "final_time": (_POSITIVE, 1.0),
     "stop_time": (_POSITIVE, None),  # at most final_time
@@ -240,36 +239,19 @@ class Scenario(SimpleNamespace):
         axis, position = self.interface
         return self.media[int((xc if axis == "x" else yc) >= position)]
 
-    def pml_profiles(self):
+    def layers(self):
         pml, d0 = self.pml, self.pml.d0
-        if pml.sides and d0 is None:
-            d0 = pml_mod.damping_strength(self.c_p_max, pml.width, pml.tol)
-        x0, x1, y0, y1 = self.domain
-        anchor = {"west": ("x", x0, "low"), "east": ("x", x1, "high"),
-                  "south": ("y", y0, "low"), "north": ("y", y1, "high")}
-        profiles = []
-        for side in pml.sides:
-            axis, extent, orient = anchor[side]
-            profiles.append(pml_mod.PmlProfile(
-                axis=axis, interior_extent=extent, width=pml.width, d0=d0,
-                exponent=pml.exponent, alpha=pml.alpha, gamma=pml.gamma,
-                side=orient))
-        return profiles
-
-    def mesh_extents(self):
-        x0, x1, y0, y1 = self.domain
-        w, sides = self.pml.width, self.pml.sides
-        return (x0 - w if "west" in sides else x0,
-                x1 + w if "east" in sides else x1,
-                y0 - w if "south" in sides else y0,
-                y1 + w if "north" in sides else y1)
+        if d0 is None:
+            d0 = (pml_mod.damping_strength(self.c_p_max, pml.width, pml.tol)
+                  if pml.sides else 0.0)
+        return pml_mod.Layers(pml.sides, pml.width, d0, pml.exponent,
+                              pml.alpha, pml.gamma)
 
     def build(self):
         """Returns (mesh, solver config) ready for solver.run."""
-        mesh = build_mesh(*self.mesh_extents(), self.element_size,
-                          self.degree, self.media_for, self.boundaries,
-                          profiles=self.pml_profiles())
-        mesh.interior_box = self.domain
+        mesh = build_mesh(*self.domain, self.element_size, self.degree,
+                          self.media_for, self.boundaries,
+                          layers=self.layers())
         return mesh, SolverConfig(
             theta_x=self.theta_x, theta_y=self.theta_y, cfl=self.cfl,
             final_time=self.final_time, stop_time=self.stop_time)
@@ -318,7 +300,8 @@ def from_dict(data):
     sc = Scenario(**v, domain=(*domain["x"], *domain["y"]), raw=data,
                   theta_x=theta["x"], theta_y=theta["y"], c_p_max=c_p_max)
 
-    mx0, mx1, my0, my1 = sc.mesh_extents()
+    mx0, mx1, my0, my1 = pml_mod.Layers(pml.sides, pml.width).extents(
+        sc.domain)
     # floats, so a huge count compares (as inf at worst) instead of raising
     fields = 3 if media_mod.is_acoustic(sc.media[0]) else 5
     unknowns = ((mx1 - mx0) / size) * ((my1 - my0) / size) * fields * (

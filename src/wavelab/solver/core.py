@@ -6,7 +6,7 @@ V_xi = (1/gamma_xi) A_xi D_xi U and the per-axis fluctuation injection
 F_xi = H_xi^{-1} (e(-1) FL_xi + e(+1) FR_xi):
 
     dU/dt    = P (V_x + V_y - d_x w_x - d_y w_y - F_x - F_y)
-    dw_xi/dt = V_xi - (d_xi + alpha_xi) w_xi - theta_xi F_xi
+    dw_xi/dt = V_xi - (d_xi + alpha) w_xi - theta_xi F_xi
 
 Auxiliary fields are stored only on elements overlapping a layer.
 """
@@ -19,6 +19,7 @@ import numpy as np
 from .. import diagnostics
 from ..errors import UnstableRunError
 from ..operators import lagrange_eval
+from ..pml import SIDES
 from . import fluxes
 
 
@@ -85,9 +86,6 @@ def _volume_terms(mesh, U, Vx, Vy, scratch):
     Vy *= (mesh.ry[:, None] * mesh.inv_gamma_y)[None, :, None, None, :]
 
 
-_SIDES = {"x": ("west", "east"), "y": ("south", "north")}
-
-
 def _along(a, axis):
     """``a`` itself for x; for y a view with the element axes swapped and, on
     nodal arrays, the node axes too, so y faces sit where x faces do."""
@@ -101,7 +99,7 @@ def _fluctuations(mesh, U, axis):
     """Lifted fluctuations H^{-1} e(-1) FL and H^{-1} e(+1) FR on the low and
     high faces of every element, each shaped like a face slice of
     ``_along(U, axis)``."""
-    low, high = _SIDES[axis]
+    low, high = SIDES[:2] if axis == "x" else SIDES[2:]
     pairs = [(q, v, s, _along(Z, axis)[..., None])
              for q, v, s, Z in mesh.face_pairs[axis]]
     V = _along(U, axis)
@@ -137,18 +135,17 @@ def rhs(y, mesh, config, out):
         faces = _along(body, axis)
         faces[:, :, :, 0] -= lift_lo
         faces[:, :, :, -1] -= lift_hi
-    layers = ((Vx, w_x, dw_x, mesh.d_x, mesh.alpha_x, mesh.active_x,
-               config.theta_x),
-              (Vy, w_y, dw_y, mesh.d_y, mesh.alpha_y, mesh.active_y,
-               config.theta_y))
-    for axis, (lift_lo, lift_hi), (V, w, dw, d, alpha, active, theta) in zip(
+    layers = ((Vx, w_x, dw_x, mesh.d_x, mesh.active_x, config.theta_x),
+              (Vy, w_y, dw_y, mesh.d_y, mesh.active_y, config.theta_y))
+    for axis, (lift_lo, lift_hi), (V, w, dw, d, active, theta) in zip(
             "xy", lifts, layers):
         if not active.size:  # no layer on this axis: w and dw are empty
             continue
         d_nodes = d[active][:, None, None, :, None]
         w, dw = _along(w, axis), _along(dw, axis)
         _along(body, axis)[active] -= d_nodes * w
-        np.subtract(_along(V, axis)[active], (d_nodes + alpha) * w, out=dw)
+        np.subtract(_along(V, axis)[active], (d_nodes + mesh.alpha) * w,
+                    out=dw)
         dw[:, :, :, 0] -= theta * lift_lo[active]
         dw[:, :, :, -1] -= theta * lift_hi[active]
 
@@ -198,7 +195,7 @@ def advance(state, dt, mesh, config):
 def gaussian_pulse(mesh, center=None, width_sq=9.0):
     """exp(-ln 2 ((x-cx)^2 + (y-cy)^2) / width_sq) on the nodes."""
     if center is None:
-        x0, x1, y0, y1 = mesh.interior_box or mesh.extents
+        x0, x1, y0, y1 = mesh.interior_box
         center = (0.0, 0.5 * (y0 + y1))
     X, Y = mesh.node_coordinates()
     cx, cy = center
@@ -264,7 +261,6 @@ class RunRecord:
     snapshots: dict = field(default_factory=dict)
     history_times: np.ndarray = None
     history: np.ndarray = None
-    interior_range: tuple | None = None
     final_state: SimState = None
     mesh: object = None
     linf_field: str = ""
@@ -314,9 +310,7 @@ def run(mesh, config, initial=None, receivers=(), snapshot_times=(),
                          if stencils else None),
         linf_field="p" if mesh.acoustic else "vmag")
     if record_fields:
-        kx0, kx1, ly0, ly1 = rec.interior_range = (
-            mesh.element_range_for_box(mesh.interior_box)
-            if mesh.interior_box is not None else (0, mesh.K, 0, mesh.L))
+        kx0, kx1, ly0, ly1 = mesh.interior
         stride = history_stride or max(1, n_steps // 400)
         rec.history_times = times[::stride]
         rec.history = np.empty((rec.history_times.size, kx1 - kx0, ly1 - ly0)

@@ -7,8 +7,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..media import is_acoustic, max_wave_speed
 from ..operators import ReferenceElement1D
-
-SIDES = ("west", "east", "south", "north")
+from ..pml import SIDES, Layers
 
 
 def element_count(span, size):
@@ -24,11 +23,13 @@ class Mesh:
 
     Element (kx, ly) spans [x_edges[kx], x_edges[kx+1]] x
     [y_edges[ly], y_edges[ly+1]].  Nodal data arrays are indexed
-    (kx, ly, field, i, j) with i the x-node and j the y-node.
+    (kx, ly, field, i, j) with i the x-node and j the y-node.  The layers
+    lie outside ``interior_box`` (x0, x1, y0, y1), whose elements are
+    kx0 <= kx < kx1, ly0 <= ly < ly1 for ``interior`` (kx0, kx1, ly0, ly1).
     """
 
     def __init__(self, x_edges, y_edges, degree, media_grid, boundary_r,
-                 profiles=(), interior_box=None):
+                 layers, interior_box):
         self.x_edges = np.asarray(x_edges, dtype=float)
         self.y_edges = np.asarray(y_edges, dtype=float)
         self.K = len(self.x_edges) - 1
@@ -43,8 +44,8 @@ class Mesh:
                 raise ConfigurationError(
                     f"boundary reflection coefficient for {side!r} must be "
                     f"in [-1, 1], got {r}")
-        self.profiles = tuple(profiles)
-        self.interior_box = interior_box  # (x0, x1, y0, y1) without layers
+        self.interior_box, self.interior = (
+            tuple(interior_box), self.element_range_for_box(interior_box))
 
         self.dx = np.diff(self.x_edges)
         self.dy = np.diff(self.y_edges)
@@ -58,7 +59,7 @@ class Mesh:
         self.yn = self.y_edges[:-1, None] + 0.5 * self.dy[:, None] * (1.0 + q)
 
         self._install_media(media_grid)
-        self._install_damping()
+        self._install_damping(layers)
         # scratch nodal arrays that every rhs() call overwrites
         self.work = np.empty((4, self.K, self.L, self.m, self.n, self.n))
 
@@ -100,36 +101,21 @@ class Mesh:
 
     # -- damping ----------------------------------------------------------
 
-    def _install_damping(self):
-        self.d_x = np.zeros((self.K, self.n))
-        self.d_y = np.zeros((self.L, self.n))
-        gx = np.ones((self.K, self.n))
-        gy = np.ones((self.L, self.n))
-        self.alpha_x = 0.0
-        self.alpha_y = 0.0
-        for prof in self.profiles:
-            if prof.axis == "x":
-                self.d_x += prof.damping_at(self.xn)
-                self.alpha_x = prof.alpha
-                gx += (prof.gamma - 1.0) * self._ramp(prof, self.xn)
-            else:
-                self.d_y += prof.damping_at(self.yn)
-                self.alpha_y = prof.alpha
-                gy += (prof.gamma - 1.0) * self._ramp(prof, self.yn)
-        self.inv_gamma_x = 1.0 / gx
-        self.inv_gamma_y = 1.0 / gy
+    def _install_damping(self, layers):
+        # the box's edges per axis, at infinity on sides without a layer, so
+        # a node that rounds past such an edge stays undamped
+        x0, x1, y0, y1 = (edge if side in layers.sides else sign * np.inf
+                          for edge, side, sign in zip(
+                              self.interior_box, SIDES, (-1, 1, -1, 1)))
+        ramp_x = layers.ramp(self.xn, x0, x1)
+        ramp_y = layers.ramp(self.yn, y0, y1)
+        self.d_x = layers.d0 * ramp_x
+        self.d_y = layers.d0 * ramp_y
+        self.inv_gamma_x = 1.0 / (1.0 + (layers.gamma - 1.0) * ramp_x)
+        self.inv_gamma_y = 1.0 / (1.0 + (layers.gamma - 1.0) * ramp_y)
+        self.alpha = layers.alpha
         self.active_x = np.where(self.d_x.max(axis=1) > 0.0)[0]
         self.active_y = np.where(self.d_y.max(axis=1) > 0.0)[0]
-
-    @staticmethod
-    def _ramp(prof, xi):
-        """Smooth 0..1 ramp through the layer (same monomial as the damping),
-        so gamma != 1 joins the interior continuously."""
-        if prof.side == "high":
-            depth = (xi - prof.interior_extent) / prof.width
-        else:
-            depth = (prof.interior_extent - xi) / prof.width
-        return np.clip(depth, 0.0, 1.0) ** prof.exponent
 
     # -- geometry helpers ---------------------------------------------------
 
@@ -173,27 +159,30 @@ class Mesh:
 
 
 def build_mesh(x0, x1, y0, y1, element_size, degree, media_grid_fn,
-               boundary_r, profiles=()):
-    """Tile [x0,x1] x [y0,y1] with square-count-validated elements.
+               boundary_r, layers=Layers()):
+    """Tile the interior box [x0,x1] x [y0,y1], grown by ``layers``, with
+    square-count-validated elements.
 
     ``media_grid_fn(xc, yc)`` returns the medium for the element centered at
     (xc, yc).
     """
-    K = element_count(x1 - x0, element_size)
-    L = element_count(y1 - y0, element_size)
-    for what, span, count in (("x", x1 - x0, K), ("y", y1 - y0, L)):
+    mx0, mx1, my0, my1 = layers.extents((x0, x1, y0, y1))
+    K = element_count(mx1 - mx0, element_size)
+    L = element_count(my1 - my0, element_size)
+    for what, span, count in (("x", mx1 - mx0, K), ("y", my1 - my0, L)):
         if count is None or count < 1:
             raise ConfigurationError(f"element size {element_size} does not "
                                      f"divide the {what} extent {span}")
-    x_edges = x0 + element_size * np.arange(K + 1)
-    y_edges = y0 + element_size * np.arange(L + 1)
+    x_edges = mx0 + element_size * np.arange(K + 1)
+    y_edges = my0 + element_size * np.arange(L + 1)
     # exact tiling of the stated extents
-    x_edges[-1] = x1
-    y_edges[-1] = y1
+    x_edges[-1] = mx1
+    y_edges[-1] = my1
     grid = np.empty((K, L), dtype=object)
     for kx in range(K):
         for ly in range(L):
             xc = 0.5 * (x_edges[kx] + x_edges[kx + 1])
             yc = 0.5 * (y_edges[ly] + y_edges[ly + 1])
             grid[kx, ly] = media_grid_fn(xc, yc)
-    return Mesh(x_edges, y_edges, degree, grid, boundary_r, profiles)
+    return Mesh(x_edges, y_edges, degree, grid, boundary_r, layers,
+                (x0, x1, y0, y1))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wavelab import diagnostics, media
+from wavelab import diagnostics, media, pml
 from wavelab.solver import SolverConfig, build_mesh, run
 from wavelab.solver.core import zero_state
 
@@ -70,7 +70,6 @@ def test_linf_gaussian_center_node():
     med = media.preset("acoustic-484")
     mesh = build_mesh(-50.0, 50.0, 0.0, 50.0, 5.0, 4, lambda x, y: med,
                       {"west": -1.0, "east": 0.0, "south": 1.0, "north": 1.0})
-    mesh.interior_box = (-50.0, 50.0, 0.0, 50.0)
     rec = run(mesh, SolverConfig(final_time=1e-9),
               initial={"type": "gaussian-pulse"})
     assert rec.linf[0] == pytest.approx(1.0)
@@ -100,12 +99,15 @@ def test_receiver_sample_nodal_and_polynomial_exactness():
 
 def test_pml_error_of_run_against_itself_is_zero():
     med = media.preset("acoustic-484")
-    mesh = build_mesh(0.0, 10.0, 0.0, 10.0, 5.0, 3, lambda x, y: med, R1)
-    mesh.interior_box = (0.0, 10.0, 0.0, 10.0)
+    mesh = build_mesh(0.0, 10.0, 0.0, 10.0, 5.0, 3, lambda x, y: med, R1,
+                      layers=pml.Layers(("east",), 5.0, d0=1.0))
     rec = run(mesh, SolverConfig(final_time=1.0),
               initial={"type": "gaussian-pulse", "center": (5.0, 5.0)},
               record_fields=True, history_stride=1)
-    err = diagnostics.pml_error(rec, rec, mesh.interior_box)
+    # the history covers the 2 x 2 interior elements, not the layer
+    assert mesh.interior == (0, 2, 0, 2)
+    assert rec.history.shape[1:3] == (2, 2)
+    err = diagnostics.pml_error(rec, rec)
     assert np.all(err.linf == 0.0)
     assert np.all(err.l2 == 0.0)
 
@@ -115,7 +117,7 @@ def test_pml_error_requires_field_history():
     mesh = build_mesh(0.0, 10.0, 0.0, 10.0, 5.0, 3, lambda x, y: med, R1)
     rec = run(mesh, SolverConfig(final_time=0.5), initial={"type": "zero"})
     with pytest.raises(ValueError):
-        diagnostics.pml_error(rec, rec, (0.0, 10.0, 0.0, 10.0))
+        diagnostics.pml_error(rec, rec)
 
 
 def test_reference_validity_horizon():

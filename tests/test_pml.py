@@ -5,53 +5,61 @@ from oracles import stretching_metric
 from wavelab import pml
 
 
-def make_profile(**kw):
-    base = dict(axis="x", interior_extent=50.0, width=10.0, d0=2.0)
+def make_layers(**kw):
+    base = dict(sides=("east",), width=10.0, d0=2.0)
     base.update(kw)
-    return pml.PmlProfile(**base)
+    return pml.Layers(**base)
+
+
+def damping(layers, xi, lo=-np.inf, hi=50.0):
+    """The damping d0 ramp on an axis whose box spans [lo, hi]; by default
+    the box ends at 50 on the high side only."""
+    return layers.d0 * layers.ramp(np.asarray(xi, dtype=float), lo, hi)
 
 
 def test_damping_zero_in_interior():
-    prof = make_profile()
-    assert prof.damping_at(49.0) == 0.0
-    assert prof.damping_at(50.0) == 0.0
-    assert prof.damping_at(-100.0) == 0.0
+    layers = make_layers()
+    assert damping(layers, 49.0) == 0.0
+    assert damping(layers, 50.0) == 0.0
+    assert damping(layers, -100.0) == 0.0
 
 
 def test_damping_reaches_full_strength_at_layer_end():
-    prof = make_profile()
-    assert prof.damping_at(60.0) == pytest.approx(2.0)
+    layers = make_layers()
+    assert damping(layers, 60.0) == pytest.approx(2.0)
     # clamped beyond the layer
-    assert prof.damping_at(75.0) == pytest.approx(2.0)
+    assert damping(layers, 75.0) == pytest.approx(2.0)
 
 
 def test_damping_cubic_midpoint():
-    prof = make_profile()
-    assert prof.damping_at(55.0) == pytest.approx(2.0 / 8.0)
+    layers = make_layers()
+    assert damping(layers, 55.0) == pytest.approx(2.0 / 8.0)
 
 
 def test_damping_monotone():
-    prof = make_profile()
+    layers = make_layers()
     xi = np.linspace(40.0, 70.0, 400)
-    d = prof.damping_at(xi)
+    d = damping(layers, xi)
     assert np.all(np.diff(d) >= 0)
 
 
 def test_low_side_profile_mirrors():
-    prof = make_profile(side="low", interior_extent=-50.0)
-    assert prof.damping_at(-49.0) == 0.0
-    assert prof.damping_at(-55.0) == pytest.approx(2.0 / 8.0)
-    assert prof.damping_at(-60.0) == pytest.approx(2.0)
+    layers = make_layers(sides=("west",))
+    low = dict(lo=-50.0, hi=np.inf)
+    assert damping(layers, -49.0, **low) == 0.0
+    assert damping(layers, -55.0, **low) == pytest.approx(2.0 / 8.0)
+    assert damping(layers, -60.0, **low) == pytest.approx(2.0)
 
 
 def test_perfectly_matched_junction():
     """Value and first two derivatives of the cubic profile vanish at the
     interface, so the interior equations are untouched."""
-    prof = make_profile()
+    layers = make_layers()
     h = 1e-4
-    d0 = prof.damping_at(50.0)
-    d1 = (prof.damping_at(50 + h) - prof.damping_at(50 - h)) / (2 * h)
-    d2 = (prof.damping_at(50 + h) - 2 * d0 + prof.damping_at(50 - h)) / h ** 2
+    d0 = damping(layers, 50.0)
+    d1 = (damping(layers, 50 + h) - damping(layers, 50 - h)) / (2 * h)
+    d2 = (damping(layers, 50 + h) - 2 * d0
+          + damping(layers, 50 - h)) / h ** 2
     assert d0 == 0.0
     assert abs(d1) < 1e-7
     assert abs(d2) < 1e-3
@@ -116,12 +124,21 @@ def test_stretching_metric_pole():
 
 def test_profile_validation():
     with pytest.raises(ValueError):
-        make_profile(width=0.0)
+        make_layers(width=0.0)
     with pytest.raises(ValueError):
-        make_profile(d0=-1.0)
+        make_layers(d0=-1.0)
     with pytest.raises(ValueError):
-        make_profile(gamma=0.0)
+        make_layers(gamma=0.0)
     with pytest.raises(ValueError):
-        make_profile(axis="z")
+        make_layers(sides=("east", "east"))
     with pytest.raises(ValueError):
-        make_profile(side="middle")
+        make_layers(sides=("middle",))
+
+
+def test_layers_grow_the_box_on_their_sides_only():
+    box = (-20.0, 20.0, 0.0, 10.0)
+    assert pml.Layers().extents(box) == box
+    assert make_layers(sides=("west", "north")).extents(box) == (
+        -30.0, 20.0, 0.0, 20.0)
+    assert make_layers(sides=pml.SIDES).extents(box) == (
+        -30.0, 30.0, -10.0, 20.0)

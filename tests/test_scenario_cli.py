@@ -217,6 +217,17 @@ def test_run_preset_stability_analysis_rejects_too_few_directions(
     assert not out.exists()  # nothing is written
 
 
+@pytest.mark.parametrize("axis", ["z", "X", ""])
+def test_write_analysis_artifacts_rejects_an_unknown_axis(axis, tmp_path):
+    out = tmp_path / "an"
+    with pytest.raises(ConfigurationError, match="--axis: "):
+        cli.write_analysis_artifacts("am1-table1", axis, 16, str(out))
+    assert not out.exists()  # nothing is written
+    # the axis is checked before the medium is resolved
+    with pytest.raises(ConfigurationError, match="--axis: "):
+        cli.write_analysis_artifacts("no-such-medium", axis, 16, str(out))
+
+
 def test_run_preset_stability_analysis(tmp_path):
     status, reports = cli.run_preset("stability-analysis",
                                      out_dir=str(tmp_path),
@@ -247,6 +258,19 @@ def test_convergence_study_name_runs_the_sweep(tmp_path, monkeypatch):
     with pytest.raises(ConfigurationError, match="final_time"):
         cli.run_preset("convergence-study", final_time=1.0)
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", cli.META_PRESETS)
+def test_compare_abc_rejects_a_meta_preset(name, tmp_path, capsys):
+    out = tmp_path / "cmp"
+    assert cli.main(["compare-abc", name, "--out", str(out)]) == (
+        cli.EXIT_CONFIG)
+    assert f"configuration error: {name!r} is an experiment" in (
+        capsys.readouterr().err)
+    assert not out.exists()  # nothing is written
+    # every name is listed once
+    assert sorted(cli.ALL_PRESETS) == sorted(
+        set(scenario.PRESET_SCENARIOS) | set(cli.META_PRESETS))
 
 
 def test_run_preset_waveguide_shortened(tmp_path):
@@ -310,6 +334,37 @@ def test_compare_abc_small_scenario(tmp_path):
     body = (out / "error_series.csv").read_text().splitlines()
     assert body[0] == "t,pml_linf,pml_l2,abc_linf,abc_l2"
     assert len(body) > 10
+
+
+def test_compare_abc_reference_is_an_undamped_layer(tmp_path, monkeypatch):
+    """The reference run is the base with one undamped east layer as wide as
+    the domain: the doubled domain's mesh, no auxiliary fields and gamma = 1
+    although the base has 1.5, and a history of the base interior only."""
+    records = []
+    run_scenario = scenario.run_scenario
+
+    def record(sc):
+        records.append(run_scenario(sc))
+        return records[-1]
+
+    monkeypatch.setattr(scenario, "run_scenario", record)
+    base = scenario.from_dict(tiny_scenario_dict(
+        domain={"x": [-20.0, 20.0], "y": [0.0, 20.0]}, element_size=5.0,
+        degree=2, medium={"preset": "acoustic-484"},
+        pml={"sides": ["west", "east", "south", "north"], "width": 10.0,
+             "gamma": 1.5},
+        final_time=10.0, receivers=[], snapshot_times=[],
+        initial={"type": "gaussian-pulse"}))
+    cli.compare_abc(base, tmp_path / "cmp")
+    pml_rec, _, ref_rec = records
+    ref = ref_rec.mesh
+    doubled = -20.0 + 5.0 * np.arange(17)  # [x0, x1 + (x1 - x0)]
+    assert np.array_equal(ref.x_edges, doubled)
+    assert ref.interior_box == base.domain
+    assert ref.active_x.size == 0 and ref.active_y.size == 0
+    assert np.all(ref.inv_gamma_x == 1.0) and np.all(ref.inv_gamma_y == 1.0)
+    assert pml_rec.mesh.inv_gamma_x.min() < 1.0
+    assert ref_rec.history.shape == pml_rec.history.shape
 
 
 def _set(path, value):

@@ -167,10 +167,10 @@ def test_run_records_receivers_and_snapshots():
 
 
 def test_gaussian_pulse_peaks_at_one_on_a_node():
-    mesh = build_mesh(-50.0, 60.0, 0.0, 50.0, 5.0, 4,
+    mesh = build_mesh(-50.0, 50.0, 0.0, 50.0, 5.0, 4,
                       lambda x, y: ACOUSTIC,
-                      {"west": -1.0, "east": 0.0, "south": 1.0, "north": 1.0})
-    mesh.interior_box = (-50.0, 50.0, 0.0, 50.0)
+                      {"west": -1.0, "east": 0.0, "south": 1.0, "north": 1.0},
+                      layers=pml.Layers(("east",), 10.0))
     f = gaussian_pulse(mesh)
     assert f.max() == pytest.approx(1.0)
 
@@ -182,12 +182,10 @@ def test_perfect_matching_before_arrival():
     r = {"west": -1.0, "east": 0.0, "south": 1.0, "north": 1.0}
 
     def make(d_on):
-        profs = [pml.PmlProfile(axis="x", interior_extent=20.0, width=10.0,
-                                d0=d0 if d_on else 0.0, alpha=0.15)]
-        mesh = build_mesh(-20.0, 30.0, 0.0, 10.0, 5.0, 4,
-                          lambda x, y: ACOUSTIC, r, profiles=profs)
-        mesh.interior_box = (-20.0, 20.0, 0.0, 10.0)
-        return mesh
+        layers = pml.Layers(("east",), 10.0, d0=d0 if d_on else 0.0,
+                            alpha=0.15)
+        return build_mesh(-20.0, 20.0, 0.0, 10.0, 5.0, 4,
+                          lambda x, y: ACOUSTIC, r, layers=layers)
 
     T = 7.0  # arrival needs (20 - 9)/1.484 = 7.4 s
     kw = dict(initial={"type": "gaussian-pulse", "center": (0.0, 5.0)},
@@ -203,11 +201,10 @@ def test_perfect_matching_before_arrival():
 
 def test_auxiliary_fields_allocated_only_on_layer_elements():
     d0 = pml.damping_strength(1.484, 10.0, 1e-3)
-    prof = pml.PmlProfile(axis="x", interior_extent=20.0, width=10.0, d0=d0,
-                          alpha=0.15)
-    mesh = build_mesh(-20.0, 30.0, 0.0, 10.0, 5.0, 3, lambda x, y: ACOUSTIC,
+    layers = pml.Layers(("east",), 10.0, d0=d0, alpha=0.15)
+    mesh = build_mesh(-20.0, 20.0, 0.0, 10.0, 5.0, 3, lambda x, y: ACOUSTIC,
                       {"west": -1.0, "east": 0.0, "south": 1.0, "north": 1.0},
-                      profiles=[prof])
+                      layers=layers)
     # only the two element columns overlapping [20, 30] carry w_x, none w_y
     assert mesh.active_x.tolist() == [8, 9]
     assert mesh.active_y.size == 0
@@ -223,15 +220,27 @@ def test_auxiliary_fields_allocated_only_on_layer_elements():
     assert np.all(rec.final_state.w_x == 0.0)
 
 
+def test_sides_without_a_layer_stay_undamped():
+    """An element's last node can round past the box's edge, as the top node
+    does here (-9.08 + (-1.22 + 9.08) > -1.22); on a side without a layer
+    that must not damp or scale."""
+    layers = pml.Layers(("east",), 7.86, d0=1.0, gamma=1.5)
+    mesh = build_mesh(0.0, 7.86, -9.08, -1.22, 7.86, 3,
+                      lambda x, y: ACOUSTIC, R_CLOSED, layers=layers)
+    assert mesh.yn.max() > -1.22
+    assert mesh.active_x.tolist() == [1]
+    assert mesh.active_y.size == 0
+    assert np.all(mesh.d_y == 0.0) and np.all(mesh.inv_gamma_y == 1.0)
+
+
 def test_divergence_guard_raises_with_partial_record():
     """A squeezed strong-damping elastic layer config carries a genuine
     growing mode; the run must abort with the partial record attached."""
     d0 = pml.damping_strength(6.0, 10.0, 1e-3)
-    prof = pml.PmlProfile(axis="x", interior_extent=10.0, width=10.0, d0=d0,
-                          alpha=0.15)
-    mesh = build_mesh(-10.0, 20.0, 0.0, 10.0, 5.0, 3, lambda x, y: ISO,
+    layers = pml.Layers(("east",), 10.0, d0=d0, alpha=0.15)
+    mesh = build_mesh(-10.0, 10.0, 0.0, 10.0, 5.0, 3, lambda x, y: ISO,
                       {"west": -1.0, "east": 0.0, "south": 1.0, "north": 1.0},
-                      profiles=[prof])
+                      layers=layers)
     st = smooth_random_state(mesh, seed=6, amplitude=0.1)
     with pytest.raises(UnstableRunError) as info:
         run(mesh, SolverConfig(final_time=2000.0), initial=st,
@@ -331,11 +340,10 @@ def test_rhs_mirror_symmetric_between_x_and_y_layers(med):
                 "south": r["west"], "north": r["east"]}
 
     def mesh_with(axis, boundary_r):
-        prof = pml.PmlProfile(axis=axis, interior_extent=10.0, width=10.0,
-                              d0=d0, alpha=0.15, gamma=1.5)
-        x1, y1 = (20.0, 10.0) if axis == "x" else (10.0, 20.0)
-        return build_mesh(0.0, x1, 0.0, y1, 5.0, 3, lambda x, y: med,
-                          boundary_r, profiles=[prof])
+        layers = pml.Layers(("east",) if axis == "x" else ("north",), 10.0,
+                            d0=d0, alpha=0.15, gamma=1.5)
+        return build_mesh(0.0, 10.0, 0.0, 10.0, 5.0, 3, lambda x, y: med,
+                          boundary_r, layers=layers)
 
     east, north = mesh_with("x", r), mesh_with("y", r_mirror)
     rng = np.random.default_rng(9)
