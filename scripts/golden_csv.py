@@ -17,11 +17,11 @@ for each medium preset; and two-media interfaces on x and on y with layers on
 east and north.  Two ``cli.compare_abc`` cases, the acoustic waveguide and
 the all-sides acoustic variant, run their PML, ABC and reference runs, which
 record field history, and hash their ``error_series.csv``.
-``cli.write_analysis_artifacts`` scans each medium preset and
-``aniso-violating`` on both axes at ``ANALYSIS_DIRECTIONS`` directions, and
-its ``slowness.csv`` and ``stability_{x,y}.json`` are hashed under
-``analysis-<medium>``.  Output lines are ``<sha256>  <scenario>/<file>``,
-sorted.
+``cli.write_analysis_artifacts`` scans each medium preset, the unstable
+``aniso-violating`` included, on both axes at ``ANALYSIS_DIRECTIONS``
+directions, and its ``slowness.csv`` and ``stability_{x,y}.json`` are hashed
+under ``analysis-<medium>``.  Output lines are
+``<sha256>  <scenario>/<file>``, sorted.
 """
 
 import hashlib

@@ -169,6 +169,12 @@ PRESETS = {
                                   c22=97.20, c33=30.17),
     "am1-table1": ElasticMedium2D(rho=20.0 / 36.0, c11=20.0, c12=3.8,
                                   c22=4.0, c33=2.0),
+    # Orthotropic solid violating the geometric stability condition along x,
+    # frozen from the first hit of a stiffness-grid search that the tests
+    # keep (tests/oracles.py) and re-run to check it.  Its slow branch bends
+    # backwards near the y-axis: V_px V_gx reaches about -2.
+    "aniso-violating": ElasticMedium2D(rho=1.0, c11=2.0, c12=1.0, c22=2.0,
+                                       c33=1.0),
 }
 
 

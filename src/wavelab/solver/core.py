@@ -299,7 +299,9 @@ def run(mesh, config, initial=None, receivers=(), snapshot_times=(),
     n_run = next((k for k in range(n_steps) if k * dt >= stop_time - 1e-12),
                  n_steps)
     stencils = _receiver_stencils(mesh, receivers)
-    snap_steps = {int(round(t / dt)): t for t in snapshot_times}
+    snap_steps = {}  # step -> every requested time that rounds to it
+    for t in snapshot_times:
+        snap_steps.setdefault(int(round(t / dt)), []).append(t)
 
     # every series has one sample per step, step 0 included
     times = np.arange(n_run + 1) * dt
@@ -324,7 +326,7 @@ def run(mesh, config, initial=None, receivers=(), snapshot_times=(),
             rec.receiver_series[i, step] = np.einsum("mij,i,j->m", U[kx, ly],
                                                      ex, ey)
         if step in snap_steps:
-            rec.snapshots[snap_steps[step]] = U.copy()
+            rec.snapshots.update(dict.fromkeys(snap_steps[step], U.copy()))
         if record_fields and step % stride == 0:
             rec.history[step // stride] = U[kx0:kx1, ly0:ly1]
         if step and linf > divergence_factor * rec.linf[0] > 0:

@@ -137,7 +137,7 @@ def exact_group_velocity(medium, k):
 # Parameter ranges scanned when constructing a medium that violates the
 # geometric stability condition.  The published figure demonstrates such a
 # medium exists without giving parameters, so one is derived here by search;
-# wavelab.analysis.VIOLATING_MEDIUM is its first hit, frozen.
+# its first hit is frozen as the medium preset "aniso-violating".
 _SCAN_C11 = (2.0, 4.0, 10.0, 20.0)
 _SCAN_C22 = (2.0, 4.0, 10.0, 20.0)
 _SCAN_C33 = (1.0, 2.0)

@@ -179,10 +179,12 @@ def test_c04_geometric_stability_condition():
 # -- criteria 5 and 6 ------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_c05_acoustic_theta_zero_instability():
     _check_theta_switch(5, "acoustic-waveguide")
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("preset", ["elastic-iso-waveguide",
                                     "elastic-aniso-waveguide"])
 def test_c06_elastic_theta_zero_instability(preset):

@@ -16,7 +16,7 @@ ORACLE_MEDIA = {
     "acoustic-484": media.preset("acoustic-484"),
     "iso-table1": media.preset("iso-table1"),
     "am1-table1": media.preset("am1-table1"),
-    "aniso-violating": analysis.VIOLATING_MEDIUM,
+    "aniso-violating": media.preset("aniso-violating"),
     "degenerate": DEGENERATE_MEDIUM,
 }
 
@@ -193,7 +193,7 @@ def test_stability_check_direction_count_precondition():
 
 def test_violating_medium_scan_and_spectrum():
     medium, report = find_violating_medium()
-    assert medium == analysis.VIOLATING_MEDIUM
+    assert medium == media.preset("aniso-violating")
     assert report.verdict == "unstable"
     assert report.min_product < -0.1
     # offending direction carries growing PML modes at high wavenumber
@@ -204,7 +204,7 @@ def test_violating_medium_scan_and_spectrum():
 
 
 def test_stability_verdict_invariant_under_uniform_scaling():
-    base = analysis.VIOLATING_MEDIUM
+    base = media.preset("aniso-violating")
     scaled = media.ElasticMedium2D(rho=4.0 * base.rho, c11=4.0 * base.c11,
                                    c12=4.0 * base.c12, c22=4.0 * base.c22,
                                    c33=4.0 * base.c33)
@@ -236,6 +236,73 @@ def test_pml_spectrum_acoustic_stable_sample():
     assert spec.max_real <= 1e-12
     # damped propagating pairs plus the neutral mode survive the filter
     assert len(spec.eigenvalues) >= 3
+
+
+# gamma 1 and strong damping, where rooting the cleared determinant
+# polynomial gave too few roots, false growth or no growth verdict; growing
+# is the bound max_real must pass, None a stable medium
+@pytest.mark.parametrize("name, k, d, alpha, growing", [
+    ("am1-table1", (0.1, 0.1), 10.0, 0.15, None),
+    ("aniso-violating", (0.1, 0.1), 5.0, 0.15, 1e-4),
+    ("aniso-violating", (0.1, 0.1), 5.0, 0.0, 1e-8),
+    ("iso-table1", (0.5, 0.1), 10.0, 0.15, None),
+])
+def test_pml_spectrum_at_strong_damping(name, k, d, alpha, growing):
+    med = media.preset(name)
+    spec = analysis.pml_mode_spectrum(med, k, d, alpha)
+    cm = med.coefficient_matrices()
+    assert len(spec.eigenvalues) == cm.m + np.linalg.matrix_rank(cm.A_x)
+    if growing is None:
+        assert spec.max_real <= 1e-12
+    else:
+        assert spec.max_real > growing
+
+
+def pml_sweep(n, seed):
+    """(k, d, alpha, gamma) samples: |k| in [1e-2, 1e2] in any direction,
+    d in [1e-3, 1e2], alpha 0 or in [1e-3, 10], gamma in [0.32, 3.2], all
+    log-uniform."""
+    rng = np.random.default_rng(seed)
+    angle = rng.uniform(0.0, 2.0 * np.pi, n)
+    k = 10.0 ** rng.uniform(-2.0, 2.0, (n, 1)) * np.stack(
+        [np.cos(angle), np.sin(angle)], axis=-1)
+    d = 10.0 ** rng.uniform(-3.0, 2.0, n)
+    alpha = np.where(rng.random(n) < 0.5, 0.0,
+                     10.0 ** rng.uniform(-3.0, 1.0, n))
+    gamma = 10.0 ** rng.uniform(-0.5, 0.5, n)
+    return zip(map(tuple, k), d, alpha, gamma)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MEDIA))
+def test_pml_spectrum_roots_solve_the_relation(name):
+    med = ORACLE_MEDIA[name]
+    cm = med.coefficient_matrices()
+    Bx, By = cm.P @ cm.A_x, cm.P @ cm.A_y
+    for k, d, alpha, gamma in pml_sweep(300, 14):
+        spec = analysis.pml_mode_spectrum(med, k, d, alpha, gamma)
+        knorm = np.hypot(k[0] / gamma, k[1])
+        k1, k2 = k[0] / gamma / knorm, k[1] / knorm
+        eps, nu = d / knorm, alpha / knorm
+        assert len(spec.eigenvalues) == cm.m + np.linalg.matrix_rank(cm.A_x)
+        for lam in spec.eigenvalues:
+            sv = np.linalg.svd(-1j * lam * np.eye(cm.m)
+                               + (lam + nu) / (lam + nu + eps) * k1 * Bx
+                               + k2 * By, compute_uv=False)
+            assert sv[-1] <= 1e-7 * max(sv[0], 1.0)
+        if name in ("acoustic-484", "iso-table1", "am1-table1"):
+            scale = max(1.0, np.abs(spec.eigenvalues).max())
+            assert spec.max_real <= 1e-12 * scale
+
+
+def test_pml_spectrum_drops_the_pole_roots_along_the_layer():
+    # k_x = 0: the auxiliary variables decouple at the pole -(nu + eps),
+    # and what is left is the undamped spectrum
+    med = media.preset("iso-table1")
+    spec = analysis.pml_mode_spectrum(med, (0.0, 2.0), d=3.0, alpha=0.5)
+    want = analysis.pml_mode_spectrum(med, (0.0, 2.0), d=0.0, alpha=0.0)
+    assert len(spec.eigenvalues) == med.coefficient_matrices().m
+    assert np.allclose(np.sort_complex(spec.eigenvalues),
+                       np.sort_complex(want.eigenvalues), atol=1e-12)
 
 
 def test_pml_spectrum_rejects_bad_arguments():

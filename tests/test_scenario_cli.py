@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wavelab import cli, scenario
+from wavelab import cli, media, scenario
 from wavelab.errors import ConfigurationError
 
 
@@ -132,6 +132,14 @@ def test_two_media_scenario_builds():
     assert mesh.media[0, 0].rho == 1.0
     assert mesh.media[1, 0].rho == 2.0
     assert sc.c_p_max == pytest.approx(np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("medium", ["aniso-violating",
+                                    {"preset": "aniso-violating"}])
+def test_violating_medium_is_a_scenario_preset(medium):
+    sc = scenario.from_dict(tiny_scenario_dict(medium=medium))
+    assert sc.media == (media.preset("aniso-violating"),)
+    assert cli._resolve_medium("aniso-violating") is sc.media[0]
 
 
 def test_overrides_reach_the_config():

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavelab import diagnostics, media, pml, scenario
+from wavelab import cli, diagnostics, media, pml, scenario
 from wavelab.errors import InvalidMediumError, UnstableRunError
 from wavelab.solver import (SolverConfig, advance, build_mesh, rhs, rk4_step,
                             run, timestep, timestep_formula)
@@ -145,7 +145,7 @@ def test_run_zero_initial_data_stays_zero():
     assert np.all(rec.final_state.U == 0.0)
 
 
-def test_run_records_receivers_and_snapshots():
+def test_run_records_receivers_and_snapshots(tmp_path):
     mesh = closed_box(ACOUSTIC, n_elem=2, degree=4, size=1.0)
     cfg = SolverConfig(final_time=0.4)
     rec = run(mesh, cfg,
@@ -164,6 +164,18 @@ def test_run_records_receivers_and_snapshots():
     U_final = split(rec.final_state.y, mesh)[0]
     assert np.array_equal(U_final, rec.snapshots[0.4])
     assert rec.final_state.stages is None
+    # at dt 0.2, 0.51 and 0.52 both round to step 3: each requested time
+    # gets that step's fields, one shared copy, and its own file
+    sc = scenario.with_overrides(scenario.load_preset("acoustic-waveguide"),
+                                 final_time=1.0,
+                                 snapshot_times=[0.5, 0.51, 0.52])
+    rec = cli.run_scenario_with_artifacts(sc, tmp_path)
+    assert rec.dt == pytest.approx(0.2)
+    assert set(rec.snapshots) == {0.5, 0.51, 0.52}
+    assert rec.snapshots[0.51] is rec.snapshots[0.52]
+    assert not np.array_equal(rec.snapshots[0.5], rec.snapshots[0.51])
+    assert sorted(p.name for p in tmp_path.glob("snapshot_t*.csv")) == [
+        "snapshot_t0.5.csv", "snapshot_t0.51.csv", "snapshot_t0.52.csv"]
 
 
 def test_gaussian_pulse_peaks_at_one_on_a_node():
