@@ -148,11 +148,15 @@ def compare_abc(base_sc, out_dir=None):
     """PML vs plain first-order ABC against a reference-domain run.
 
     Runs the scenario with its PML, with the damping switched off (the same
-    mesh then acts as a waveguide terminated by the r=0 ABC), and with one
-    undamped layer (d0 = 0, gamma = 1) as wide as the domain on the east, so
-    boundary reflections cannot contaminate the interior before the validity
-    horizon; emits both interior error series.
+    mesh then acts as a waveguide terminated by the r=0 ABC), and with an
+    undamped layer (d0 = 0, gamma = 1) as wide as the domain on every side
+    that has a layer, so boundary reflections cannot contaminate the
+    interior before the validity horizon; emits both interior error series.
     """
+    if not base_sc.pml.sides:
+        raise ConfigurationError(
+            "pml.sides: compare-abc compares a layer with the ABC, and the "
+            "scenario has no layer")
     out = Path(out_dir or Path("out") / "abc-comparison")
     x0, x1, _, _ = base_sc.domain
 
@@ -160,7 +164,7 @@ def compare_abc(base_sc, out_dir=None):
     abc_sc = scenario_mod.with_overrides(base_sc, d0=0.0, record_fields=True)
     ref_sc = scenario_mod.with_overrides(
         base_sc, name=base_sc.name + "-reference", record_fields=True,
-        pml={"sides": ["east"], "width": x1 - x0, "d0": 0.0})
+        pml={"sides": list(base_sc.pml.sides), "width": x1 - x0, "d0": 0.0})
 
     horizon = diagnostics.reference_validity_horizon(
         base_sc.domain, ref_sc.layers().extents(ref_sc.domain),

@@ -7,10 +7,11 @@ import numpy as np
 
 def discrete_energy(U, mesh):
     """Medium-weighted discrete energy 1/2 sum h_i h_j J (U^T P^{-1} U)."""
-    h = mesh.ref.weights
-    PU = np.einsum("klab,klbij->klaij", mesh.Pinv, U)
-    per_elem = np.einsum("klaij,klaij,i,j->kl", U, PU, h, h)
-    return 0.5 * float(np.sum(mesh.jac * per_elem))
+    U = U.reshape(mesh.K, mesh.L, mesh.m, mesh.n * mesh.n)
+    PU = np.matmul(mesh.Pinv, U)
+    PU *= mesh.energy_weight
+    PU *= U
+    return float(np.sum(PU))
 
 
 def weighted_l2(U, mesh):

@@ -282,10 +282,16 @@ def from_dict(data):
                                  f"integer number of size-{size} elements")
     if v["stop_time"] is not None and v["stop_time"] > v["final_time"]:
         raise ConfigurationError("stop_time: must lie in (0, final_time]")
+    labels = {}  # snapshot file label -> index of the time that first has it
     for i, t in enumerate(v["snapshot_times"]):
         if t > v["final_time"]:
             raise ConfigurationError(
                 f"snapshot_times[{i}]: must lie in [0, final_time]")
+        j = labels.setdefault(f"{t:g}", i)
+        if j != i:
+            raise ConfigurationError(
+                f"snapshot_times[{i}]: {t!r} writes snapshot_t{t:g}.csv, "
+                f"the file of snapshot_times[{j}]")
 
     domain, theta, _ = v.pop("domain"), v.pop("theta"), v.pop("schema")
     v["media"], v["interface"] = v.pop("medium")

@@ -77,13 +77,16 @@ def zero_state(mesh):
 
 
 def _volume_terms(mesh, U, Vx, Vy, scratch):
-    D = mesh.ref.D
-    np.einsum("pi,klmij->klmpj", D, U, out=scratch)
-    np.einsum("ab,klbij->klaij", mesh.A_x, scratch, out=Vx)
-    Vx *= (mesh.qx[:, None] * mesh.inv_gamma_x)[:, None, None, :, None]
-    np.einsum("pj,klmij->klmip", D, U, out=scratch)
-    np.einsum("ab,klbij->klaij", mesh.A_y, scratch, out=Vy)
-    Vy *= (mesh.ry[:, None] * mesh.inv_gamma_y)[None, :, None, None, :]
+    """Vx and Vy, each one matrix product along node lines, one field mix
+    per element and the metric scaling, written into the caller's arrays."""
+    K, L, m, n = mesh.K, mesh.L, mesh.m, mesh.n
+    rows = U.reshape(K * L * m, n * n)
+    for line, A, scale, V in ((mesh.line_x, mesh.A_x, mesh.scale_x, Vx),
+                              (mesh.line_y, mesh.A_y, mesh.scale_y, Vy)):
+        np.matmul(rows, line, out=scratch.reshape(K * L * m, n * n))
+        np.matmul(A, scratch.reshape(K * L, m, n * n),
+                  out=V.reshape(K * L, m, n * n))
+        V *= scale
 
 
 def _along(a, axis):
@@ -149,7 +152,8 @@ def rhs(y, mesh, config, out):
         dw[:, :, :, 0] -= theta * lift_lo[active]
         dw[:, :, :, -1] -= theta * lift_hi[active]
 
-    np.einsum("klab,klbij->klaij", mesh.Pmat, body, out=dU)
+    shape = (mesh.K, mesh.L, mesh.m, mesh.n * mesh.n)
+    np.matmul(mesh.Pmat, body.reshape(shape), out=dU.reshape(shape))
 
 
 # -- time stepping ------------------------------------------------------------

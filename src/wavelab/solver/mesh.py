@@ -60,6 +60,22 @@ class Mesh:
 
         self._install_media(media_grid)
         self._install_damping(layers)
+        # rhs() and discrete_energy() view nodal arrays as (..., n^2) rows,
+        # node (i, j) at column i n + j; a row times line_x = kron(D^T, I)
+        # (line_y = kron(I, D^T)) applies D along every x (y) node line.
+        # Broadcasting forms them faster than np.kron at these sizes.
+        DT, eye, n2 = self.ref.D.T, np.eye(self.n), self.n * self.n
+        self.line_x = (DT[:, None, :, None] * eye[:, None]).reshape(n2, n2)
+        self.line_y = (eye[:, None, :, None] * DT[:, None]).reshape(n2, n2)
+        # per-node metric factors of the x and y volume terms
+        self.scale_x = (self.qx[:, None] * self.inv_gamma_x)[
+            :, None, None, :, None]
+        self.scale_y = (self.ry[:, None] * self.inv_gamma_y)[
+            None, :, None, None, :]
+        # 1/2 J h_i h_j per element and node, shaped (K, L, 1, n^2)
+        h = self.ref.weights
+        self.energy_weight = 0.5 * self.jac[:, :, None, None] * np.outer(
+            h, h).ravel()
         # scratch nodal arrays that every rhs() call overwrites
         self.work = np.empty((4, self.K, self.L, self.m, self.n, self.n))
 
@@ -73,10 +89,14 @@ class Mesh:
                 f"{self.K}x{self.L} element grid")
         self.media = media_grid
         # coefficients are computed once per distinct medium (media are
-        # frozen dataclasses, so equal media share a key) and gathered
-        number = {}
-        index = np.array([[number.setdefault(med, len(number))
-                           for med in row] for row in media_grid])
+        # frozen dataclasses, so equal media share a key) and gathered; the
+        # grid repeats a few objects, and each is hashed once, by its id
+        number, code = {}, {}
+        for med in media_grid.flat:
+            if id(med) not in code:
+                code[id(med)] = number.setdefault(med, len(number))
+        index = np.array([code[id(med)] for med in media_grid.flat]).reshape(
+            self.K, self.L)
         distinct = list(number)
         self.acoustic = is_acoustic(distinct[0])
         if any(is_acoustic(med) != self.acoustic for med in distinct):

@@ -1,8 +1,9 @@
 """Reference computations that only the tests use: the SBP identity of the
-reference element, the complex stretching metric of the PML, the slowest
-elastic wave speed, the per-direction plane-wave analysis that
-``wavelab.analysis.branches`` batches, the exact group velocity, and the
-search that derives a medium violating the geometric stability condition."""
+reference element, the element kernels of the solver as einsum contractions,
+the complex stretching metric of the PML, the slowest elastic wave speed,
+the per-direction plane-wave analysis that ``wavelab.analysis.branches``
+batches, the exact group velocity, and the search that derives a medium
+violating the geometric stability condition."""
 
 import numpy as np
 
@@ -27,6 +28,32 @@ def sbp_residual(ref):
     e_right = lagrange_eval(ref.nodes, 1.0)
     B = np.outer(e_right, e_right) - np.outer(e_left, e_left)
     return np.max(np.abs(Q + Q.T - B))
+
+
+def volume_terms(mesh, U):
+    """(Vx, Vy) = (1/gamma_xi) (2/h_xi) A_xi D_xi U, the volume terms of
+    ``wavelab.solver.core``, one einsum per derivative and per field mix."""
+    D = mesh.ref.D
+    Vx = np.einsum("ab,klbij->klaij", mesh.A_x,
+                   np.einsum("pi,klmij->klmpj", D, U))
+    Vx *= (mesh.qx[:, None] * mesh.inv_gamma_x)[:, None, None, :, None]
+    Vy = np.einsum("ab,klbij->klaij", mesh.A_y,
+                   np.einsum("pj,klmij->klmip", D, U))
+    Vy *= (mesh.ry[:, None] * mesh.inv_gamma_y)[None, :, None, None, :]
+    return Vx, Vy
+
+
+def p_multiply(mesh, body):
+    """P body with each element's own P, as ``rhs`` ends."""
+    return np.einsum("klab,klbij->klaij", mesh.Pmat, body)
+
+
+def discrete_energy(U, mesh):
+    """1/2 sum h_i h_j J (U^T P^{-1} U), per element, then summed."""
+    h = mesh.ref.weights
+    PU = np.einsum("klab,klbij->klaij", mesh.Pinv, U)
+    per_elem = np.einsum("klaij,klaij,i,j->kl", U, PU, h, h)
+    return 0.5 * float(np.sum(mesh.jac * per_elem))
 
 
 def stretching_metric(s, d, alpha, gamma=1.0):

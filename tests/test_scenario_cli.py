@@ -1,7 +1,11 @@
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +173,37 @@ def test_cli_run_writes_artifacts_and_is_deterministic(tmp_path):
     assert meta["scenario_hash"] == json.loads(
         (out2 / "metadata.json").read_text())["scenario_hash"]
     assert len(meta["scenario_hash"]) == 64
+
+
+_HASH_RUNS = """
+import hashlib, sys
+from pathlib import Path
+from wavelab import cli, scenario
+out = Path(sys.argv[1])
+for name in ("acoustic-waveguide", "elastic-iso-waveguide"):
+    sc = scenario.with_overrides(scenario.load_preset(name), final_time=6.0,
+                                 snapshot_times=[3.0, 6.0])
+    cli.run_scenario_with_artifacts(sc, out / name)
+for path in sorted(out.glob("*/*.csv")):
+    print(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out))
+"""
+
+
+def test_csv_bodies_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The matrix products of rhs and discrete_energy give the same bytes
+    with one BLAS thread and with two."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    listings = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-c", _HASH_RUNS, str(tmp_path / threads)],
+            env=env, capture_output=True, text=True, check=True)
+        listings.append(done.stdout.splitlines())
+    assert len(listings[0]) == 8  # series, receivers, two snapshots per run
+    assert listings[0] == listings[1]
 
 
 def test_cli_exit_code_for_configuration_error(tmp_path):
@@ -345,9 +380,11 @@ def test_compare_abc_small_scenario(tmp_path):
 
 
 def test_compare_abc_reference_is_an_undamped_layer(tmp_path, monkeypatch):
-    """The reference run is the base with one undamped east layer as wide as
-    the domain: the doubled domain's mesh, no auxiliary fields and gamma = 1
-    although the base has 1.5, and a history of the base interior only."""
+    """The reference run is the base with an undamped layer as wide as the
+    domain on each of the base's layer sides: the grown domain's mesh, no
+    auxiliary fields and gamma = 1 although the base has 1.5, and a history
+    of the base interior only.  It absorbs nowhere, so the PML run's error
+    stays small where a wall of the reference would reflect."""
     records = []
     run_scenario = scenario.run_scenario
 
@@ -363,16 +400,43 @@ def test_compare_abc_reference_is_an_undamped_layer(tmp_path, monkeypatch):
              "gamma": 1.5},
         final_time=10.0, receivers=[], snapshot_times=[],
         initial={"type": "gaussian-pulse"}))
-    cli.compare_abc(base, tmp_path / "cmp")
+    pml_err, _, _ = cli.compare_abc(base, tmp_path / "cmp")
     pml_rec, _, ref_rec = records
     ref = ref_rec.mesh
-    doubled = -20.0 + 5.0 * np.arange(17)  # [x0, x1 + (x1 - x0)]
-    assert np.array_equal(ref.x_edges, doubled)
+    # 40 (the x extent) beyond every side of [-20, 20] x [0, 20]
+    assert np.array_equal(ref.x_edges, -60.0 + 5.0 * np.arange(25))
+    assert np.array_equal(ref.y_edges, -40.0 + 5.0 * np.arange(21))
     assert ref.interior_box == base.domain
     assert ref.active_x.size == 0 and ref.active_y.size == 0
     assert np.all(ref.inv_gamma_x == 1.0) and np.all(ref.inv_gamma_y == 1.0)
     assert pml_rec.mesh.inv_gamma_x.min() < 1.0
     assert ref_rec.history.shape == pml_rec.history.shape
+    # a reference with walls where the base has layers put this at 0.13
+    late = np.argmin(np.abs(pml_err.times - 9.5))
+    assert pml_err.linf[late] < 1e-3
+
+
+def test_compare_abc_rejects_a_base_without_a_layer(tmp_path):
+    base = scenario.from_dict(tiny_scenario_dict())
+    with pytest.raises(ConfigurationError, match=r"^pml\.sides: "):
+        cli.compare_abc(base, tmp_path / "cmp")
+    assert not (tmp_path / "cmp").exists()
+
+
+def test_snapshot_times_with_one_file_name_are_rejected(tmp_path, capsys):
+    """snapshot_t{t:g}.csv keeps six significant digits, so 0.6 and
+    0.6000001 would write one file."""
+    data = tiny_scenario_dict(final_time=1.0,
+                              snapshot_times=[0.2, 0.6, 0.6000001])
+    with pytest.raises(ConfigurationError,
+                       match=r"^snapshot_times\[2\]: .*snapshot_t0\.6\.csv.*"
+                             r"snapshot_times\[1\]"):
+        scenario.from_dict(data)
+    out = tmp_path / "out"
+    assert cli.main(["run", write_scenario(tmp_path, data),
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "snapshot_times[2]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _set(path, value):
