@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__, analysis, diagnostics
 from . import media as media_mod
+from . import pml as pml_mod
 from . import scenario as scenario_mod
 from .errors import (ConfigurationError, InvalidMediumError,
                      NumericalFailureError, UnstableRunError)
@@ -159,18 +160,19 @@ def compare_abc(base_sc, out_dir=None):
             "scenario has no layer")
     out = Path(out_dir or Path("out") / "abc-comparison")
     x0, x1, _, _ = base_sc.domain
-
-    pml_sc = scenario_mod.with_overrides(base_sc, record_fields=True)
-    abc_sc = scenario_mod.with_overrides(base_sc, d0=0.0, record_fields=True)
-    ref_sc = scenario_mod.with_overrides(
-        base_sc, name=base_sc.name + "-reference", record_fields=True,
-        pml={"sides": list(base_sc.pml.sides), "width": x1 - x0, "d0": 0.0})
-
     horizon = diagnostics.reference_validity_horizon(
-        base_sc.domain, ref_sc.layers().extents(ref_sc.domain),
+        base_sc.domain,
+        pml_mod.Layers(base_sc.pml.sides, x1 - x0).extents(base_sc.domain),
         base_sc.c_p_max, base_sc.element_size)
-    ref_sc = scenario_mod.with_overrides(ref_sc, stop_time=min(
-        horizon, base_sc.final_time))
+    # pml_error drops every sample past the horizon, so no run steps there
+    common = {"record_fields": True, "stop_time": min(
+        horizon, base_sc.stop_time or base_sc.final_time)}
+
+    pml_sc = scenario_mod.with_overrides(base_sc, **common)
+    abc_sc = scenario_mod.with_overrides(base_sc, d0=0.0, **common)
+    ref_sc = scenario_mod.with_overrides(
+        base_sc, name=base_sc.name + "-reference", **common,
+        pml={"sides": list(base_sc.pml.sides), "width": x1 - x0, "d0": 0.0})
 
     pml_rec = scenario_mod.run_scenario(pml_sc)
     abc_rec = scenario_mod.run_scenario(abc_sc)

@@ -21,21 +21,12 @@ def weighted_l2(U, mesh):
     return float(np.sqrt(np.sum(mesh.jac * per_elem)))
 
 
-def linf_norm(U, selector, mesh=None):
-    """Max nodal magnitude of a selected field of the nodal array U.
-
-    Selectors: "p" (acoustic pressure) and "vmag" (absolute particle velocity
-    sqrt(vx^2 + vy^2); U holds acoustic fields if ``mesh`` is acoustic, else
-    elastic ones).
-    """
-    if selector == "p":
+def linf_norm(U, mesh):
+    """Max nodal magnitude of the nodal array U of ``mesh``: of the pressure
+    on an acoustic mesh, else of the particle velocity sqrt(vx^2 + vy^2)."""
+    if mesh.acoustic:
         return float(np.max(np.abs(U[..., 0, :, :])))
-    if selector != "vmag":
-        raise ValueError(f"unknown L-infinity selector {selector!r}")
-    if mesh is not None and mesh.acoustic:
-        vx, vy = U[..., 1, :, :], U[..., 2, :, :]
-    else:
-        vx, vy = U[..., 0, :, :], U[..., 1, :, :]
+    vx, vy = U[..., 0, :, :], U[..., 1, :, :]
     return float(np.sqrt(np.max(vx ** 2 + vy ** 2)))
 
 
@@ -95,7 +86,7 @@ def pml_error(record, reference, horizon=None):
     h = mesh_a.ref.weights
     kx0, kx1, ly0, ly1 = mesh_a.interior
     jac = mesh_a.jac[kx0:kx1, ly0:ly1]
-    linf = np.array([linf_norm(d, record.linf_field, mesh_a) for d in diff])
+    linf = np.array([linf_norm(d, mesh_a) for d in diff])
     per = np.einsum("tklaij,tklaij,i,j->tkl", diff, diff, h, h)
     l2 = np.sqrt(np.sum(per * jac, axis=(1, 2)))
     return ErrorSeries(times=ta, linf=linf, l2=l2)

@@ -233,12 +233,6 @@ class Scenario(SimpleNamespace):
     ((axis, position) or None), and ``theta`` is ``theta_x``, ``theta_y``;
     ``c_p_max`` is the largest c_p of the media, worked out once."""
 
-    def media_for(self, xc, yc):
-        if self.interface is None:
-            return self.media[0]
-        axis, position = self.interface
-        return self.media[int((xc if axis == "x" else yc) >= position)]
-
     def layers(self):
         pml, d0 = self.pml, self.pml.d0
         if d0 is None:
@@ -250,8 +244,8 @@ class Scenario(SimpleNamespace):
     def build(self):
         """Returns (mesh, solver config) ready for solver.run."""
         mesh = build_mesh(*self.domain, self.element_size, self.degree,
-                          self.media_for, self.boundaries,
-                          layers=self.layers())
+                          self.media, self.boundaries,
+                          layers=self.layers(), interface=self.interface)
         return mesh, SolverConfig(
             theta_x=self.theta_x, theta_y=self.theta_y, cfl=self.cfl,
             final_time=self.final_time, stop_time=self.stop_time)

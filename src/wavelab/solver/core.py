@@ -159,9 +159,9 @@ def rhs(y, mesh, config, out):
 # -- time stepping ------------------------------------------------------------
 
 
-def timestep_formula(cfl, degree, c_max, min_elem, dim=2):
-    """dt = CFL / (sqrt(dim) (2N+1) c_max) * min element size."""
-    return cfl / (math.sqrt(dim) * (2 * degree + 1) * c_max) * min_elem
+def timestep_formula(cfl, degree, c_max, min_elem):
+    """dt = CFL / (sqrt(2) (2N+1) c_max) * min element size."""
+    return cfl / (math.sqrt(2) * (2 * degree + 1) * c_max) * min_elem
 
 
 def timestep(config, mesh):
@@ -213,7 +213,7 @@ def standing_mode(mesh, nx=1, ny=1, t=0.0):
     v_xi = -(k_xi / (rho w)) cos/sin ... sin(w t); returns nodal U.
     """
     assert mesh.acoustic
-    med = mesh.media[0, 0]
+    med = mesh.media[0]
     rho, c = med.rho, med.c
     x0, x1, y0, y1 = mesh.extents
     kx = nx * np.pi / (x1 - x0)
@@ -324,7 +324,7 @@ def run(mesh, config, initial=None, receivers=(), snapshot_times=(),
 
     failure = None
     for step in range(n_run + 1):
-        rec.linf[step] = linf = diagnostics.linf_norm(U, rec.linf_field, mesh)
+        rec.linf[step] = linf = diagnostics.linf_norm(U, mesh)
         rec.energy[step] = diagnostics.discrete_energy(U, mesh)
         for i, (kx, ly, ex, ey) in enumerate(stencils):
             rec.receiver_series[i, step] = np.einsum("mij,i,j->m", U[kx, ly],

@@ -22,14 +22,15 @@ class Mesh:
     """K x L grid of affine elements holding media, face pairs and damping.
 
     Element (kx, ly) spans [x_edges[kx], x_edges[kx+1]] x
-    [y_edges[ly], y_edges[ly+1]].  Nodal data arrays are indexed
-    (kx, ly, field, i, j) with i the x-node and j the y-node.  The layers
-    lie outside ``interior_box`` (x0, x1, y0, y1), whose elements are
-    kx0 <= kx < kx1, ly0 <= ly < ly1 for ``interior`` (kx0, kx1, ly0, ly1).
+    [y_edges[ly], y_edges[ly+1]] and holds ``media[index[kx, ly]]``.  Nodal
+    data arrays are indexed (kx, ly, field, i, j) with i the x-node and j
+    the y-node.  The layers lie outside ``interior_box`` (x0, x1, y0, y1),
+    whose elements are kx0 <= kx < kx1, ly0 <= ly < ly1 for ``interior``
+    (kx0, kx1, ly0, ly1).
     """
 
-    def __init__(self, x_edges, y_edges, degree, media_grid, boundary_r,
-                 layers, interior_box):
+    def __init__(self, x_edges, y_edges, degree, media, index, boundary_r,
+                 layers, interior_box, interior):
         self.x_edges = np.asarray(x_edges, dtype=float)
         self.y_edges = np.asarray(y_edges, dtype=float)
         self.K = len(self.x_edges) - 1
@@ -44,8 +45,7 @@ class Mesh:
                 raise ConfigurationError(
                     f"boundary reflection coefficient for {side!r} must be "
                     f"in [-1, 1], got {r}")
-        self.interior_box, self.interior = (
-            tuple(interior_box), self.element_range_for_box(interior_box))
+        self.interior_box, self.interior = tuple(interior_box), interior
 
         self.dx = np.diff(self.x_edges)
         self.dy = np.diff(self.y_edges)
@@ -58,7 +58,7 @@ class Mesh:
         self.xn = self.x_edges[:-1, None] + 0.5 * self.dx[:, None] * (1.0 + q)
         self.yn = self.y_edges[:-1, None] + 0.5 * self.dy[:, None] * (1.0 + q)
 
-        self._install_media(media_grid)
+        self._install_media(media, index)
         self._install_damping(layers)
         # rhs() and discrete_energy() view nodal arrays as (..., n^2) rows,
         # node (i, j) at column i n + j; a row times line_x = kron(D^T, I)
@@ -81,28 +81,13 @@ class Mesh:
 
     # -- media ------------------------------------------------------------
 
-    def _install_media(self, media_grid):
-        media_grid = np.asarray(media_grid, dtype=object)
-        if media_grid.shape != (self.K, self.L):
-            raise ConfigurationError(
-                f"media grid shape {media_grid.shape} does not match the "
-                f"{self.K}x{self.L} element grid")
-        self.media = media_grid
-        # coefficients are computed once per distinct medium (media are
-        # frozen dataclasses, so equal media share a key) and gathered; the
-        # grid repeats a few objects, and each is hashed once, by its id
-        number, code = {}, {}
-        for med in media_grid.flat:
-            if id(med) not in code:
-                code[id(med)] = number.setdefault(med, len(number))
-        index = np.array([code[id(med)] for med in media_grid.flat]).reshape(
-            self.K, self.L)
-        distinct = list(number)
-        self.acoustic = is_acoustic(distinct[0])
-        if any(is_acoustic(med) != self.acoustic for med in distinct):
+    def _install_media(self, media, index):
+        self.media, self.index = tuple(media), index
+        self.acoustic = is_acoustic(self.media[0])
+        if any(is_acoustic(med) != self.acoustic for med in self.media):
             raise ConfigurationError(
                 "piecewise media must share the same system type")
-        cms = [med.coefficient_matrices() for med in distinct]
+        cms = [med.coefficient_matrices() for med in self.media]
         self.m = cms[0].m
         self.fields = cms[0].fields
         self.A_x = cms[0].A_x
@@ -113,11 +98,12 @@ class Mesh:
         # the medium, s = A_n[v, q] and Z gathered per element
         self.face_pairs = {}
         for axis, A in (("x", self.A_x), ("y", self.A_y)):
-            pairs = [med.face_pairs(axis) for med in distinct]
+            pairs = [med.face_pairs(axis) for med in self.media]
             self.face_pairs[axis] = tuple(
                 (q, v, A[v, q], np.array([p[i][2] for p in pairs])[index])
                 for i, (q, v, _) in enumerate(pairs[0]))
-        self.c_max = max_wave_speed(distinct)
+        # the time step follows the media the elements hold
+        self.c_max = max_wave_speed([self.media[i] for i in np.unique(index)])
 
     # -- damping ----------------------------------------------------------
 
@@ -162,47 +148,41 @@ class Mesh:
                             (self.K, self.L, self.n, self.n))
         return X, Y
 
-    def element_range_for_box(self, box):
-        """Element index ranges (kx0, kx1, ly0, ly1) covering a coordinate box
-        whose edges must lie on element boundaries."""
-        x0, x1, y0, y1 = box
 
-        def locate(edges, v):
-            i = int(np.argmin(np.abs(edges - v)))
-            if abs(edges[i] - v) > 1e-9 * max(1.0, abs(v)):
-                raise ConfigurationError(
-                    f"box edge {v} does not lie on an element boundary")
-            return i
-
-        return (locate(self.x_edges, x0), locate(self.x_edges, x1),
-                locate(self.y_edges, y0), locate(self.y_edges, y1))
-
-
-def build_mesh(x0, x1, y0, y1, element_size, degree, media_grid_fn,
-               boundary_r, layers=Layers()):
+def build_mesh(x0, x1, y0, y1, element_size, degree, media, boundary_r,
+               layers=Layers(), interface=None):
     """Tile the interior box [x0,x1] x [y0,y1], grown by ``layers``, with
-    square-count-validated elements.
+    square elements; the box's extents and the layer width must each span a
+    whole number of them.
 
-    ``media_grid_fn(xc, yc)`` returns the medium for the element centered at
-    (xc, yc).
+    ``media`` holds one medium, or two split at ``interface`` (axis,
+    position): an element whose center lies at or beyond the position holds
+    ``media[1]``, the others ``media[0]``.
     """
-    mx0, mx1, my0, my1 = layers.extents((x0, x1, y0, y1))
-    K = element_count(mx1 - mx0, element_size)
-    L = element_count(my1 - my0, element_size)
-    for what, span, count in (("x", mx1 - mx0, K), ("y", my1 - my0, L)):
+    if len(media) != (1 if interface is None else 2):
+        raise ConfigurationError("give one medium, or two and an interface")
+    width = element_count(layers.width, element_size)
+    if layers.sides and width is None:
+        raise ConfigurationError(f"layer width {layers.width} does not span "
+                                 f"whole size-{element_size} elements")
+    w, e, s, n = (width if side in layers.sides else 0 for side in SIDES)
+    nx = element_count(x1 - x0, element_size)
+    ny = element_count(y1 - y0, element_size)
+    for what, span, count in (("x", x1 - x0, nx), ("y", y1 - y0, ny)):
         if count is None or count < 1:
             raise ConfigurationError(f"element size {element_size} does not "
                                      f"divide the {what} extent {span}")
+    K, L = w + nx + e, s + ny + n
+    mx0, mx1, my0, my1 = layers.extents((x0, x1, y0, y1))
     x_edges = mx0 + element_size * np.arange(K + 1)
     y_edges = my0 + element_size * np.arange(L + 1)
     # exact tiling of the stated extents
     x_edges[-1] = mx1
     y_edges[-1] = my1
-    grid = np.empty((K, L), dtype=object)
-    for kx in range(K):
-        for ly in range(L):
-            xc = 0.5 * (x_edges[kx] + x_edges[kx + 1])
-            yc = 0.5 * (y_edges[ly] + y_edges[ly + 1])
-            grid[kx, ly] = media_grid_fn(xc, yc)
-    return Mesh(x_edges, y_edges, degree, grid, boundary_r, layers,
-                (x0, x1, y0, y1))
+    index = np.zeros((K, L), dtype=int)
+    if interface is not None:
+        axis, position = interface
+        edges = x_edges[:, None] if axis == "x" else y_edges
+        index[:] = 0.5 * (edges[:-1] + edges[1:]) >= position
+    return Mesh(x_edges, y_edges, degree, media, index, boundary_r, layers,
+                (x0, x1, y0, y1), (w, K - e, s, L - n))

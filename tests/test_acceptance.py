@@ -102,7 +102,7 @@ def test_c01_sbp_identity():
 def test_c02_energy_dissipation_without_pml():
     med = media.preset("acoustic-484")
     r = {"west": -1.0, "east": 1.0, "south": 1.0, "north": -1.0}
-    mesh = build_mesh(0.0, 30.0, 0.0, 30.0, 5.0, 4, lambda x, y: med, r)
+    mesh = build_mesh(0.0, 30.0, 0.0, 30.0, 5.0, 4, (med,), r)
     cfg = SolverConfig(final_time=1.0)
     rng = np.random.default_rng(42)
     st = zero_state(mesh)

@@ -11,7 +11,7 @@ R1 = {"west": 1.0, "east": 1.0, "south": 1.0, "north": 1.0}
 def unit_element_mesh(kappa=1.0, rho=1.0, degree=4):
     med = media.AcousticMedium(rho=rho, kappa=kappa)
     return build_mesh(-1.0, 1.0, -1.0, 1.0, 2.0, degree,
-                      lambda x, y: med, R1)
+                      (med,), R1)
 
 
 def test_energy_zero_state():
@@ -39,7 +39,7 @@ def test_energy_quadratic_scaling():
 
 def test_energy_matches_elementwise_loop():
     med = media.preset("iso-table1")
-    mesh = build_mesh(0.0, 4.0, 0.0, 2.0, 1.0, 3, lambda x, y: med, R1)
+    mesh = build_mesh(0.0, 4.0, 0.0, 2.0, 1.0, 3, (med,), R1)
     rng = np.random.default_rng(10)
     U = rng.normal(size=(mesh.K, mesh.L, mesh.m, mesh.n, mesh.n))
     h = mesh.ref.weights
@@ -56,19 +56,24 @@ def test_energy_matches_elementwise_loop():
 
 
 def test_linf_selectors():
+    """The mesh selects the field: |p| on an acoustic mesh, the velocity
+    magnitude and no stress on an elastic one."""
     mesh = unit_element_mesh()
     st = zero_state(mesh)
-    assert diagnostics.linf_norm(st.U, "p") == 0.0
+    assert diagnostics.linf_norm(st.U, mesh) == 0.0
     st.U[0, 0, 0, 2, 3] = -5.0
-    assert diagnostics.linf_norm(st.U, "p") == 5.0
-    st.U[0, 0, 1, 1, 1] = 3.0
-    st.U[0, 0, 2, 1, 1] = 4.0
-    assert diagnostics.linf_norm(st.U, "vmag", mesh) == pytest.approx(5.0)
+    st.U[0, 0, 1:, 1, 1] = 30.0, 40.0
+    assert diagnostics.linf_norm(st.U, mesh) == 5.0
+    elastic = build_mesh(-1.0, 1.0, -1.0, 1.0, 2.0, 4,
+                         (media.preset("iso-table1"),), R1)
+    U = zero_state(elastic).U
+    U[0, 0, :, 1, 1] = 3.0, 4.0, 50.0, 60.0, 70.0
+    assert diagnostics.linf_norm(U, elastic) == pytest.approx(5.0)
 
 
 def test_linf_gaussian_center_node():
     med = media.preset("acoustic-484")
-    mesh = build_mesh(-50.0, 50.0, 0.0, 50.0, 5.0, 4, lambda x, y: med,
+    mesh = build_mesh(-50.0, 50.0, 0.0, 50.0, 5.0, 4, (med,),
                       {"west": -1.0, "east": 0.0, "south": 1.0, "north": 1.0})
     rec = run(mesh, SolverConfig(final_time=1e-9),
               initial={"type": "gaussian-pulse"})
@@ -77,7 +82,7 @@ def test_linf_gaussian_center_node():
 
 def test_receiver_sample_nodal_and_polynomial_exactness():
     mesh = build_mesh(0.0, 2.0, 0.0, 2.0, 1.0, 3,
-                      lambda x, y: media.AcousticMedium(1.0, 1.0), R1)
+                      (media.AcousticMedium(1.0, 1.0),), R1)
     X, Y = mesh.node_coordinates()
     st = zero_state(mesh)
     st.U[:, :, 0] = 7.0          # constant
@@ -99,7 +104,7 @@ def test_receiver_sample_nodal_and_polynomial_exactness():
 
 def test_pml_error_of_run_against_itself_is_zero():
     med = media.preset("acoustic-484")
-    mesh = build_mesh(0.0, 10.0, 0.0, 10.0, 5.0, 3, lambda x, y: med, R1,
+    mesh = build_mesh(0.0, 10.0, 0.0, 10.0, 5.0, 3, (med,), R1,
                       layers=pml.Layers(("east",), 5.0, d0=1.0))
     rec = run(mesh, SolverConfig(final_time=1.0),
               initial={"type": "gaussian-pulse", "center": (5.0, 5.0)},
@@ -114,7 +119,7 @@ def test_pml_error_of_run_against_itself_is_zero():
 
 def test_pml_error_requires_field_history():
     med = media.preset("acoustic-484")
-    mesh = build_mesh(0.0, 10.0, 0.0, 10.0, 5.0, 3, lambda x, y: med, R1)
+    mesh = build_mesh(0.0, 10.0, 0.0, 10.0, 5.0, 3, (med,), R1)
     rec = run(mesh, SolverConfig(final_time=0.5), initial={"type": "zero"})
     with pytest.raises(ValueError):
         diagnostics.pml_error(rec, rec)

@@ -19,7 +19,7 @@ LAYERS = pml.Layers(pml.SIDES, 1.0, d0=2.0, gamma=1.5)
 
 def one_medium(name, degree):
     med = media.preset(name)
-    return build_mesh(0.0, 2.0, 0.0, 2.0, 1.0, degree, lambda x, y: med, R,
+    return build_mesh(0.0, 2.0, 0.0, 2.0, 1.0, degree, (med,), R,
                       layers=LAYERS)
 
 
@@ -28,8 +28,7 @@ def two_media(axis, degree):
     between elements."""
     low, high = media.preset("iso-table1"), media.preset("am1-table1")
     return build_mesh(0.0, 2.0, 0.0, 2.0, 1.0, degree,
-                      lambda x, y: low if (x if axis == "x" else y) < 1.0
-                      else high, R, layers=LAYERS)
+                      (low, high), R, layers=LAYERS, interface=(axis, 1.0))
 
 
 CASES = [(name, degree) for degree in range(1, MAX_DEGREE + 1)

@@ -48,7 +48,7 @@ def test_p_matrix_positive_definite():
 
 def test_p_inverse_consistency():
     med = media.preset("iso-table1")
-    mesh = build_mesh(0.0, 2.0, 0.0, 1.0, 1.0, 1, lambda x, y: med,
+    mesh = build_mesh(0.0, 2.0, 0.0, 1.0, 1.0, 1, (med,),
                       {"west": 0.0, "east": 0.0, "south": 0.0, "north": 0.0})
     assert np.allclose(mesh.Pinv @ mesh.Pmat, np.eye(mesh.m), atol=1e-13)
 

@@ -133,8 +133,8 @@ def test_two_media_scenario_builds():
         "interface": {"axis": "x", "position": 1.0}})
     sc = scenario.from_dict(data)
     mesh, _ = sc.build()
-    assert mesh.media[0, 0].rho == 1.0
-    assert mesh.media[1, 0].rho == 2.0
+    assert mesh.media[mesh.index[0, 0]].rho == 1.0
+    assert mesh.media[mesh.index[1, 0]].rho == 2.0
     assert sc.c_p_max == pytest.approx(np.sqrt(2.0))
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from wavelab import cli, diagnostics, media, pml, scenario
-from wavelab.errors import InvalidMediumError, UnstableRunError
+from wavelab.errors import (ConfigurationError, InvalidMediumError,
+                            UnstableRunError)
 from wavelab.solver import (SolverConfig, advance, build_mesh, rhs, rk4_step,
                             run, timestep, timestep_formula)
 from wavelab.solver.core import (gaussian_pulse, split, standing_mode,
@@ -18,14 +19,71 @@ ISO = media.preset("iso-table1")
 
 def closed_box(med, n_elem=2, degree=4, size=2.0):
     return build_mesh(0.0, n_elem * size, 0.0, n_elem * size, size, degree,
-                      lambda x, y: med, R_CLOSED)
+                      (med,), R_CLOSED)
 
 
 def test_mesh_rejects_a_wave_speed_that_is_not_finite():
     # kappa / rho overflows to inf: the time step would be zero
     fast = media.AcousticMedium(rho=1e-320, kappa=1.0)
     with pytest.raises(InvalidMediumError, match="c_p = inf"):
-        build_mesh(0.0, 10.0, 0.0, 10.0, 5.0, 2, lambda x, y: fast, R_CLOSED)
+        build_mesh(0.0, 10.0, 0.0, 10.0, 5.0, 2, (fast,), R_CLOSED)
+
+
+def test_mesh_rejects_a_layer_of_part_elements():
+    # the grown x extent, 15, is three whole elements
+    layers = pml.Layers(("west", "east"), 2.5)
+    with pytest.raises(ConfigurationError, match="layer width 2.5"):
+        build_mesh(0.0, 10.0, 0.0, 10.0, 5.0, 2, (ACOUSTIC,), R_CLOSED,
+                   layers=layers)
+
+
+@pytest.mark.parametrize("x0, x1", [(0.0, 0.0), (10.0, 0.0), (0.0, -5.0)])
+def test_mesh_rejects_a_box_that_is_not_increasing(x0, x1):
+    # with the layers, the grown extent of (0, 0) is two whole elements
+    layers = pml.Layers(("west", "east"), 5.0)
+    with pytest.raises(ConfigurationError, match="x extent"):
+        build_mesh(x0, x1, 0.0, 10.0, 5.0, 2, (ACOUSTIC,), R_CLOSED,
+                   layers=layers)
+
+
+@pytest.mark.parametrize("media_, interface", [
+    ((ACOUSTIC, ACOUSTIC), None), ((ACOUSTIC,), ("x", 5.0)), ((), None)])
+def test_mesh_takes_one_medium_or_two_and_an_interface(media_, interface):
+    with pytest.raises(ConfigurationError, match="one medium, or two"):
+        build_mesh(0.0, 10.0, 0.0, 10.0, 5.0, 2, media_, R_CLOSED,
+                   interface=interface)
+
+
+@pytest.mark.parametrize("sides", [pml.SIDES, ("east",), ("south", "west"),
+                                   ()])
+def test_mesh_interior_counts_the_layer_elements(sides):
+    layers = pml.Layers(sides, 5.0)
+    mesh = build_mesh(-10.0, 10.0, 0.0, 7.5, 2.5, 2, (ACOUSTIC,), R_CLOSED,
+                      layers=layers)
+    w, e, s, n = (2 if side in sides else 0 for side in pml.SIDES)
+    assert (mesh.K, mesh.L) == (8 + w + e, 3 + s + n)
+    assert mesh.interior == (w, mesh.K - e, s, mesh.L - n)
+    kx0, kx1, ly0, ly1 = mesh.interior
+    assert (mesh.x_edges[kx0], mesh.x_edges[kx1], mesh.y_edges[ly0],
+            mesh.y_edges[ly1]) == (-10.0, 10.0, 0.0, 7.5)
+
+
+@pytest.mark.parametrize("axis, position", [("x", -2.5), ("y", 5.0)])
+def test_mesh_index_puts_media_1_at_or_beyond_the_interface(axis, position):
+    low, high = ACOUSTIC, media.AcousticMedium(rho=3.0, kappa=2.0)
+    mesh = build_mesh(-10.0, 10.0, 0.0, 7.5, 2.5, 2, (low, high), R_CLOSED,
+                      layers=pml.Layers(("east", "north"), 5.0),
+                      interface=(axis, position))
+    X, Y = np.meshgrid(0.5 * (mesh.x_edges[:-1] + mesh.x_edges[1:]),
+                       0.5 * (mesh.y_edges[:-1] + mesh.y_edges[1:]),
+                       indexing="ij")
+    beyond = (X if axis == "x" else Y) >= position
+    assert mesh.media == (low, high)
+    assert np.array_equal(mesh.index, beyond.astype(int))
+    assert 0 < beyond.sum() < beyond.size
+    P = [med.coefficient_matrices().P for med in mesh.media]
+    assert np.array_equal(mesh.Pmat,
+                          np.where(beyond[..., None, None], P[1], P[0]))
 
 
 def smooth_random_state(mesh, seed=0, amplitude=1.0):
@@ -180,7 +238,7 @@ def test_run_records_receivers_and_snapshots(tmp_path):
 
 def test_gaussian_pulse_peaks_at_one_on_a_node():
     mesh = build_mesh(-50.0, 50.0, 0.0, 50.0, 5.0, 4,
-                      lambda x, y: ACOUSTIC,
+                      (ACOUSTIC,),
                       {"west": -1.0, "east": 0.0, "south": 1.0, "north": 1.0},
                       layers=pml.Layers(("east",), 10.0))
     f = gaussian_pulse(mesh)
@@ -197,7 +255,7 @@ def test_perfect_matching_before_arrival():
         layers = pml.Layers(("east",), 10.0, d0=d0 if d_on else 0.0,
                             alpha=0.15)
         return build_mesh(-20.0, 20.0, 0.0, 10.0, 5.0, 4,
-                          lambda x, y: ACOUSTIC, r, layers=layers)
+                          (ACOUSTIC,), r, layers=layers)
 
     T = 7.0  # arrival needs (20 - 9)/1.484 = 7.4 s
     kw = dict(initial={"type": "gaussian-pulse", "center": (0.0, 5.0)},
@@ -214,7 +272,7 @@ def test_perfect_matching_before_arrival():
 def test_auxiliary_fields_allocated_only_on_layer_elements():
     d0 = pml.damping_strength(1.484, 10.0, 1e-3)
     layers = pml.Layers(("east",), 10.0, d0=d0, alpha=0.15)
-    mesh = build_mesh(-20.0, 20.0, 0.0, 10.0, 5.0, 3, lambda x, y: ACOUSTIC,
+    mesh = build_mesh(-20.0, 20.0, 0.0, 10.0, 5.0, 3, (ACOUSTIC,),
                       {"west": -1.0, "east": 0.0, "south": 1.0, "north": 1.0},
                       layers=layers)
     # only the two element columns overlapping [20, 30] carry w_x, none w_y
@@ -238,7 +296,7 @@ def test_sides_without_a_layer_stay_undamped():
     that must not damp or scale."""
     layers = pml.Layers(("east",), 7.86, d0=1.0, gamma=1.5)
     mesh = build_mesh(0.0, 7.86, -9.08, -1.22, 7.86, 3,
-                      lambda x, y: ACOUSTIC, R_CLOSED, layers=layers)
+                      (ACOUSTIC,), R_CLOSED, layers=layers)
     assert mesh.yn.max() > -1.22
     assert mesh.active_x.tolist() == [1]
     assert mesh.active_y.size == 0
@@ -250,7 +308,7 @@ def test_divergence_guard_raises_with_partial_record():
     growing mode; the run must abort with the partial record attached."""
     d0 = pml.damping_strength(6.0, 10.0, 1e-3)
     layers = pml.Layers(("east",), 10.0, d0=d0, alpha=0.15)
-    mesh = build_mesh(-10.0, 10.0, 0.0, 10.0, 5.0, 3, lambda x, y: ISO,
+    mesh = build_mesh(-10.0, 10.0, 0.0, 10.0, 5.0, 3, (ISO,),
                       {"west": -1.0, "east": 0.0, "south": 1.0, "north": 1.0},
                       layers=layers)
     st = smooth_random_state(mesh, seed=6, amplitude=0.1)
@@ -294,7 +352,7 @@ def test_non_finite_state_raises_with_the_steps_before_it():
 
 def test_standing_mode_satisfies_wave_equation_discretely():
     med = media.AcousticMedium(rho=1.0, kappa=1.0)
-    mesh = build_mesh(0.0, 1.0, 0.0, 1.0, 1.0 / 8.0, 4, lambda x, y: med,
+    mesh = build_mesh(0.0, 1.0, 0.0, 1.0, 1.0 / 8.0, 4, (med,),
                       R_CLOSED)
     cfg = SolverConfig(final_time=0.3)
     rec = run(mesh, cfg, initial={"type": "standing-mode", "nx": 1, "ny": 1})
@@ -309,7 +367,7 @@ def test_quick_convergence_order():
     errs = []
     for ne in (8, 16):
         mesh = build_mesh(0.0, 1.0, 0.0, 1.0, 1.0 / ne, 2,
-                          lambda x, y: med, R_CLOSED)
+                          (med,), R_CLOSED)
         rec = run(mesh, SolverConfig(final_time=0.5),
                   initial={"type": "standing-mode"})
         exact = standing_mode(mesh, 1, 1, rec.times[-1])
@@ -321,7 +379,7 @@ def test_piecewise_media_interface_is_stable_and_consistent():
     left = media.AcousticMedium(rho=1.0, kappa=1.0)
     right = media.AcousticMedium(rho=3.0, kappa=2.0)
     mesh = build_mesh(0.0, 4.0, 0.0, 2.0, 1.0, 3,
-                      lambda x, y: left if x < 2.0 else right, R_CLOSED)
+                      (left, right), R_CLOSED, interface=("x", 2.0))
     cfg = SolverConfig(final_time=1.0)
     st = smooth_random_state(mesh, seed=7)
     dt = timestep(cfg, mesh)
@@ -354,7 +412,7 @@ def test_rhs_mirror_symmetric_between_x_and_y_layers(med):
     def mesh_with(axis, boundary_r):
         layers = pml.Layers(("east",) if axis == "x" else ("north",), 10.0,
                             d0=d0, alpha=0.15, gamma=1.5)
-        return build_mesh(0.0, 10.0, 0.0, 10.0, 5.0, 3, lambda x, y: med,
+        return build_mesh(0.0, 10.0, 0.0, 10.0, 5.0, 3, (med,),
                           boundary_r, layers=layers)
 
     east, north = mesh_with("x", r), mesh_with("y", r_mirror)
