@@ -63,11 +63,8 @@ def main(argv=None):
                         help="imaginary parts of the shifts")
     args = parser.parse_args(argv)
 
-    if args.scenario in scenario.PRESET_SCENARIOS:
-        sc = scenario.load_preset(args.scenario)
-    else:
-        sc = scenario.parse_scenario(args.scenario)
-    sc = scenario.with_overrides(sc, theta_x=args.theta_x)
+    sc = scenario.with_overrides(scenario.load(args.scenario),
+                                 theta_x=args.theta_x)
     mesh, config = sc.build()
     A = assemble(mesh, config)
     print(f"{sc.name}: theta=({config.theta_x:g}, {config.theta_y:g}), "

@@ -22,10 +22,6 @@ from .errors import (ConfigurationError, InvalidMediumError,
                      NumericalFailureError, UnstableRunError)
 from .solver.core import standing_mode
 
-META_PRESETS = ("abc-comparison", "stability-analysis", "convergence-study")
-ALL_PRESETS = tuple(name for name in scenario_mod.PRESET_SCENARIOS
-                    if name not in META_PRESETS) + META_PRESETS
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_UNSTABLE = 3
@@ -83,6 +79,7 @@ def write_run_artifacts(out_dir, sc, record):
     _write_metadata(out, sc, {
         "dt": record.dt,
         "n_steps": record.n_steps,
+        "steps_taken": len(record.times) - 1,
         "status": record.status,
         "blowup_time": record.blowup_time,
         "linf_field": record.linf_field,
@@ -223,50 +220,6 @@ def convergence_study(degrees=(2, 3), meshes=(10, 20, 40), out_dir=None):
     return results
 
 
-def run_preset(name, out_dir=None, **overrides):
-    """Execute a named experiment preset; returns (exit_status, payload).
-
-    A meta-preset wins over a scenario preset of the same name, so
-    ``convergence-study`` runs the refinement sweep."""
-    if name == "abc-comparison":
-        base = scenario_mod.with_overrides(
-            scenario_mod.load_preset("acoustic-waveguide"), **overrides)
-        return EXIT_OK, compare_abc(base, out_dir)
-    if name == "stability-analysis":
-        medium = overrides.pop("medium", "am1-table1")
-        n_dir = overrides.pop("n_directions", 720)
-        if overrides:
-            raise ConfigurationError(
-                f"unknown stability-analysis overrides {sorted(overrides)}")
-        reports = write_analysis_artifacts(medium, "both", n_dir,
-                                           out_dir or "out/stability-analysis")
-        return EXIT_OK, reports
-    if name == "convergence-study":
-        if overrides:
-            raise ConfigurationError(
-                f"unknown convergence-study overrides {sorted(overrides)}")
-        return EXIT_OK, convergence_study(out_dir=out_dir)
-    if name in scenario_mod.PRESET_SCENARIOS:
-        sc = scenario_mod.with_overrides(scenario_mod.load_preset(name),
-                                         **overrides)
-        try:
-            record = run_scenario_with_artifacts(sc, out_dir)
-        except UnstableRunError as exc:
-            return EXIT_UNSTABLE, exc.record
-        return EXIT_OK, record
-    raise ConfigurationError(
-        f"unknown preset {name!r}; available: {ALL_PRESETS}")
-
-
-def _load_scenario_arg(arg):
-    if arg in META_PRESETS:
-        raise ConfigurationError(f"{arg!r} is an experiment, not a scenario; "
-                                 f"run it with 'wavelab run {arg}'")
-    if arg in scenario_mod.PRESET_SCENARIOS:
-        return scenario_mod.load_preset(arg)
-    return scenario_mod.parse_scenario(arg)
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="wavelab",
@@ -275,8 +228,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario file or preset")
-    p_run.add_argument("scenario",
-                       help=f"path to scenario JSON or one of {ALL_PRESETS}")
+    p_run.add_argument("scenario", help="path to scenario JSON or one of "
+                       f"{scenario_mod.PRESET_SCENARIOS}")
     p_run.add_argument("--theta-x", type=float, default=None)
     p_run.add_argument("--theta-y", type=float, default=None)
     p_run.add_argument("--tol", type=float, default=None,
@@ -296,6 +249,10 @@ def _build_parser():
                            help="PML vs ABC error against a reference run")
     p_cmp.add_argument("scenario", nargs="?", default="acoustic-waveguide")
     p_cmp.add_argument("--out", default=None)
+
+    p_conv = sub.add_parser("convergence",
+                            help="standing-mode refinement sweep")
+    p_conv.add_argument("--out", default=None)
     return parser
 
 
@@ -306,15 +263,8 @@ def main(argv=None):
             overrides = {k: getattr(args, k) for k in
                          ("theta_x", "theta_y", "tol", "degree", "cfl",
                           "final_time")}
-            if args.scenario in META_PRESETS:
-                status, _ = run_preset(
-                    args.scenario, out_dir=args.out,
-                    **{k: v for k, v in overrides.items() if v is not None})
-                print(f"{args.scenario} artifacts written to "
-                      f"{args.out or 'out/' + args.scenario}")
-                return status
-            sc = _load_scenario_arg(args.scenario)
-            sc = scenario_mod.with_overrides(sc, **overrides)
+            sc = scenario_mod.with_overrides(scenario_mod.load(args.scenario),
+                                             **overrides)
             record = run_scenario_with_artifacts(sc, args.out)
             print(f"completed {sc.name}: {len(record.times) - 1} steps, "
                   f"dt={record.dt:.6g} s, final linf={record.linf[-1]:.6g}")
@@ -327,13 +277,17 @@ def main(argv=None):
                       f"(min product {rep.min_product:.3e})")
             return EXIT_OK
         if args.command == "compare-abc":
-            base = _load_scenario_arg(args.scenario)
+            base = scenario_mod.load(args.scenario)
             pml_err, abc_err, horizon = compare_abc(base, args.out)
             print(f"validity horizon: {horizon:.6g} s")
             print(f"max interior L-inf error: PML {pml_err.max_linf():.6g}, "
                   f"ABC {abc_err.max_linf():.6g}")
             return EXIT_OK
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        if args.command == "convergence":
+            for degree, result in convergence_study(out_dir=args.out).items():
+                print(f"degree {degree}: observed orders " + ", ".join(
+                    f"{order:.3g}" for order in result["orders"]))
+            return EXIT_OK
     except (ConfigurationError, InvalidMediumError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,7 +20,7 @@ from . import pml as pml_mod
 from .errors import ConfigurationError, InvalidMediumError
 from .operators import MAX_DEGREE
 from .solver import SolverConfig, build_mesh, timestep_formula
-from .solver.mesh import element_count
+from .solver.mesh import element_count, interface_on_edge
 
 SCHEMA_VERSION = 1
 
@@ -320,13 +320,11 @@ def from_dict(data):
         if not (mx0 <= rx <= mx1 and my0 <= ry <= my1):
             raise ConfigurationError(
                 f"receivers[{i}]: ({rx}, {ry}) is outside the mesh")
-    if sc.interface is not None:
-        axis, position = sc.interface
-        lo, hi = (mx0, mx1) if axis == "x" else (my0, my1)
-        if not (lo <= position <= hi
-                and element_count(position - lo, size) is not None):
-            raise ConfigurationError(f"medium.interface.position: "
-                                     f"{position} is not on an element edge")
+    if sc.interface and not interface_on_edge(
+            sc.interface, (mx0, mx1, my0, my1), size):
+        raise ConfigurationError(f"medium.interface.position: "
+                                 f"{sc.interface[1]} is not on an element "
+                                 "edge")
     return sc
 
 
@@ -352,6 +350,13 @@ def load_preset(name):
             f"unknown preset {name!r}; available: {PRESET_SCENARIOS}")
     ref = resources.files("wavelab").joinpath("presets", f"{name}.json")
     return from_dict(json.loads(ref.read_text(encoding="utf-8")))
+
+
+def load(name_or_path):
+    """The shipped preset of that name, else the scenario JSON at that path."""
+    if name_or_path in PRESET_SCENARIOS:
+        return load_preset(name_or_path)
+    return parse_scenario(name_or_path)
 
 
 def run_scenario(scenario):

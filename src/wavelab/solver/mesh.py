@@ -18,6 +18,15 @@ def element_count(span, size):
     return n if abs(ratio - n) <= 1e-9 * max(1.0, abs(ratio)) else None
 
 
+def interface_on_edge(interface, extents, size):
+    """Whether ``interface`` (axis, position) has axis "x" or "y" and lies on
+    an edge of the size-``size`` elements tiling ``extents`` from x0, y0."""
+    axis, position = interface
+    lo, hi = extents[:2] if axis == "x" else extents[2:]
+    return axis in ("x", "y") and lo <= position <= hi and element_count(
+        position - lo, size) is not None
+
+
 class Mesh:
     """K x L grid of affine elements holding media, face pairs and damping.
 
@@ -155,9 +164,9 @@ def build_mesh(x0, x1, y0, y1, element_size, degree, media, boundary_r,
     square elements; the box's extents and the layer width must each span a
     whole number of them.
 
-    ``media`` holds one medium, or two split at ``interface`` (axis,
-    position): an element whose center lies at or beyond the position holds
-    ``media[1]``, the others ``media[0]``.
+    ``media`` holds one medium, or two split at ``interface`` (axis "x" or
+    "y", position on an element edge): an element whose center lies at or
+    beyond the position holds ``media[1]``, the others ``media[0]``.
     """
     if len(media) != (1 if interface is None else 2):
         raise ConfigurationError("give one medium, or two and an interface")
@@ -181,6 +190,10 @@ def build_mesh(x0, x1, y0, y1, element_size, degree, media, boundary_r,
     y_edges[-1] = my1
     index = np.zeros((K, L), dtype=int)
     if interface is not None:
+        if not interface_on_edge(interface, (mx0, mx1, my0, my1),
+                                 element_size):
+            raise ConfigurationError(
+                f"interface {interface} is not on an x or y element edge")
         axis, position = interface
         edges = x_edges[:, None] if axis == "x" else y_edges
         index[:] = 0.5 * (edges[:-1] + edges[1:]) >= position

@@ -218,16 +218,18 @@ def test_cli_run_of_an_unreadable_path_names_it(tmp_path, capsys):
 
 
 def test_cli_analyze_writes_verdicts(tmp_path):
-    out = tmp_path / "an"
-    code = cli.main(["analyze", "--medium", "iso-table1", "--axis", "both",
-                     "--directions", "64", "--out", str(out)])
-    assert code == 0
-    for ax in ("x", "y"):
-        payload = json.loads((out / f"stability_{ax}.json").read_text())
-        assert payload["verdict"] == "stable"
-        assert payload["medium"] == "iso-table1"
-    header = (out / "slowness.csv").read_text().splitlines()[0]
-    assert header == ("branch,angle,S_x,S_y,Vg_x,Vg_y,product_x,product_y")
+    for medium in ("iso-table1", "am1-table1"):
+        out = tmp_path / medium
+        code = cli.main(["analyze", "--medium", medium, "--axis", "both",
+                         "--directions", "64", "--out", str(out)])
+        assert code == 0
+        for ax in ("x", "y"):
+            payload = json.loads((out / f"stability_{ax}.json").read_text())
+            assert payload["verdict"] == "stable"
+            assert payload["medium"] == medium
+        header = (out / "slowness.csv").read_text().splitlines()[0]
+        assert header == ("branch,angle,S_x,S_y,Vg_x,Vg_y,product_x,"
+                          "product_y")
 
 
 def test_cli_analyze_violating_medium(tmp_path):
@@ -251,12 +253,12 @@ def test_cli_analyze_rejects_too_few_directions(directions, tmp_path,
 
 
 @pytest.mark.parametrize("n_directions", [5, 0, -3])
-def test_run_preset_stability_analysis_rejects_too_few_directions(
-        n_directions, tmp_path):
-    out = tmp_path / "sa"
+def test_write_analysis_artifacts_rejects_too_few_directions(n_directions,
+                                                             tmp_path):
+    out = tmp_path / "an"
     with pytest.raises(ConfigurationError, match="need at least 16"):
-        cli.run_preset("stability-analysis", out_dir=str(out),
-                       n_directions=n_directions)
+        cli.write_analysis_artifacts("am1-table1", "both", n_directions,
+                                     str(out))
     assert not out.exists()  # nothing is written
 
 
@@ -271,61 +273,87 @@ def test_write_analysis_artifacts_rejects_an_unknown_axis(axis, tmp_path):
         cli.write_analysis_artifacts("no-such-medium", axis, 16, str(out))
 
 
-def test_run_preset_stability_analysis(tmp_path):
-    status, reports = cli.run_preset("stability-analysis",
-                                     out_dir=str(tmp_path),
-                                     medium="am1-table1", n_directions=64)
-    assert status == cli.EXIT_OK
-    assert reports["x"].verdict == "stable"
-    assert reports["y"].verdict == "stable"
+def test_unknown_preset_rejected(tmp_path, capsys):
+    # the old meta-preset names of `wavelab run` are neither presets nor
+    # files: each experiment has its own subcommand
+    for name in ("no-such-preset", "abc-comparison", "stability-analysis"):
+        out = tmp_path / name
+        assert cli.main(["run", name, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert name in capsys.readouterr().err
+        assert not out.exists()  # nothing is written
 
 
-def test_unknown_preset_rejected():
-    with pytest.raises(ConfigurationError):
-        cli.run_preset("no-such-preset")
-
-
-def test_convergence_study_name_runs_the_sweep(tmp_path, monkeypatch):
+def test_convergence_command_runs_the_sweep(tmp_path, monkeypatch, capsys):
     calls = []
 
     def sweep(out_dir=None):
         calls.append(out_dir)
-        return {"swept": True}
+        return {2: {"errors": [4e-3, 1e-3], "orders": [2.0]}}
 
     monkeypatch.setattr(cli, "convergence_study", sweep)
     out = str(tmp_path / "cs")
-    assert cli.run_preset("convergence-study", out_dir=out) == (
-        cli.EXIT_OK, {"swept": True})
-    assert cli.main(["run", "convergence-study", "--out", out]) == cli.EXIT_OK
-    assert calls == [out, out]
-    with pytest.raises(ConfigurationError, match="final_time"):
-        cli.run_preset("convergence-study", final_time=1.0)
-    assert not list(tmp_path.iterdir())
+    assert cli.main(["convergence", "--out", out]) == cli.EXIT_OK
+    assert calls == [out]
+    assert "degree 2: observed orders 2" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("name", cli.META_PRESETS)
+def test_run_convergence_study_runs_the_scenario_preset(tmp_path):
+    out = tmp_path / "cs"
+    assert cli.main(["run", "convergence-study", "--degree", "3",
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert (out / "series.csv").exists()
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["degree"] == 3
+    assert meta["scenario"]["name"] == "convergence-study"
+    assert meta["status"] == "completed"
+
+
+@pytest.mark.parametrize("name", ["abc-comparison", "stability-analysis",
+                                  "convergence-study"])
 def test_compare_abc_rejects_a_meta_preset(name, tmp_path, capsys):
+    # convergence-study is a scenario preset without a layer; the other two
+    # names are neither presets nor files
     out = tmp_path / "cmp"
     assert cli.main(["compare-abc", name, "--out", str(out)]) == (
         cli.EXIT_CONFIG)
-    assert f"configuration error: {name!r} is an experiment" in (
-        capsys.readouterr().err)
+    assert "configuration error: " in capsys.readouterr().err
     assert not out.exists()  # nothing is written
-    # every name is listed once
-    assert sorted(cli.ALL_PRESETS) == sorted(
-        set(scenario.PRESET_SCENARIOS) | set(cli.META_PRESETS))
 
 
-def test_run_preset_waveguide_shortened(tmp_path):
-    status, record = cli.run_preset("acoustic-waveguide",
-                                    out_dir=str(tmp_path / "wg"),
-                                    theta_x=1.0, final_time=5.0)
-    assert status == cli.EXIT_OK
-    assert record.status == "completed"
-    assert record.linf.max() <= 2.0 * record.linf[0]
-    assert (tmp_path / "wg" / "series.csv").exists()
-    meta = json.loads((tmp_path / "wg" / "metadata.json").read_text())
+def test_cli_run_waveguide_shortened(tmp_path):
+    out = tmp_path / "wg"
+    assert cli.main(["run", "acoustic-waveguide", "--theta-x", "1",
+                     "--final-time", "5", "--out", str(out)]) == cli.EXIT_OK
+    linf = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1)[:, 1]
+    assert linf.max() <= 2.0 * linf[0]
+    meta = json.loads((out / "metadata.json").read_text())
     assert meta["status"] == "completed"
+    assert meta["scenario"]["theta"]["x"] == 1.0
+    assert meta["scenario"]["final_time"] == 5.0
+
+
+def _readme_section(title):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    return text.split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_command_lines_parse():
+    block = _readme_section("Command line").split("```")[1]
+    lines = [line.split() for line in block.splitlines()
+             if line.startswith("wavelab ")]
+    assert {line[1] for line in lines} == {
+        "run", "analyze", "compare-abc", "convergence"}
+    parser = cli._build_parser()
+    for line in lines:
+        parser.parse_args(line[1:])  # exits on a line that does not parse
+
+
+def test_readme_lists_the_scenario_presets():
+    text = " ".join(_readme_section("Command line").split())
+    listed = re.search(r"Scenario presets[^:]*:(.*?)\.", text).group(1)
+    assert tuple(re.findall(r"`([^`]+)`", listed)) == (
+        scenario.PRESET_SCENARIOS)
 
 
 def test_cli_unstable_run_exits_3_with_partial_artifacts(tmp_path):
@@ -538,6 +566,12 @@ def test_cli_run_reports_the_steps_it_ran(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["run", path, "--out", str(out)]) == cli.EXIT_OK
     ran = len((out / "series.csv").read_text().splitlines()) - 2
-    planned = json.loads((out / "metadata.json").read_text())["n_steps"]
-    assert 0 < ran < planned
+    meta = json.loads((out / "metadata.json").read_text())
+    assert 0 < ran == meta["steps_taken"] < meta["n_steps"]
     assert f": {ran} steps," in capsys.readouterr().out
+    # a run that reaches final_time takes every planned step
+    path = write_scenario(tmp_path, tiny_scenario_dict(final_time=2.0))
+    assert cli.main(["run", path, "--out", str(out)]) == cli.EXIT_OK
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["status"] == "completed"
+    assert 0 < meta["steps_taken"] == meta["n_steps"]

@@ -54,6 +54,15 @@ def test_mesh_takes_one_medium_or_two_and_an_interface(media_, interface):
                    interface=interface)
 
 
+@pytest.mark.parametrize("interface", [("z", 5.0), ("x", 2.5), ("x", 50.0)],
+                         ids=["axis-z", "between-edges", "outside"])
+def test_mesh_rejects_an_interface_off_its_element_edges(interface):
+    other = media.AcousticMedium(rho=3.0, kappa=2.0)
+    with pytest.raises(ConfigurationError, match="not on an x or y element"):
+        build_mesh(0.0, 10.0, 0.0, 10.0, 5.0, 2, (ACOUSTIC, other), R_CLOSED,
+                   interface=interface)
+
+
 @pytest.mark.parametrize("sides", [pml.SIDES, ("east",), ("south", "west"),
                                    ()])
 def test_mesh_interior_counts_the_layer_elements(sides):
