@@ -217,19 +217,24 @@ def test_cli_run_of_an_unreadable_path_names_it(tmp_path, capsys):
     assert str(tmp_path) in capsys.readouterr().err
 
 
+def _assert_analyze_stable_on_both_axes(medium, out):
+    code = cli.main(["analyze", "--medium", medium, "--axis", "both",
+                     "--directions", "64", "--out", str(out)])
+    assert code == 0
+    for ax in ("x", "y"):
+        payload = json.loads((out / f"stability_{ax}.json").read_text())
+        assert payload["verdict"] == "stable"
+        assert payload["medium"] == medium
+    header = (out / "slowness.csv").read_text().splitlines()[0]
+    assert header == ("branch,angle,S_x,S_y,Vg_x,Vg_y,product_x,product_y")
+
+
 def test_cli_analyze_writes_verdicts(tmp_path):
-    for medium in ("iso-table1", "am1-table1"):
-        out = tmp_path / medium
-        code = cli.main(["analyze", "--medium", medium, "--axis", "both",
-                         "--directions", "64", "--out", str(out)])
-        assert code == 0
-        for ax in ("x", "y"):
-            payload = json.loads((out / f"stability_{ax}.json").read_text())
-            assert payload["verdict"] == "stable"
-            assert payload["medium"] == medium
-        header = (out / "slowness.csv").read_text().splitlines()[0]
-        assert header == ("branch,angle,S_x,S_y,Vg_x,Vg_y,product_x,"
-                          "product_y")
+    _assert_analyze_stable_on_both_axes("iso-table1", tmp_path / "an")
+
+
+def test_cli_analyze_am1_table1_stable_on_both_axes(tmp_path):
+    _assert_analyze_stable_on_both_axes("am1-table1", tmp_path / "an")
 
 
 def test_cli_analyze_violating_medium(tmp_path):
