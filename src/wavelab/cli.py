@@ -162,7 +162,7 @@ def compare_abc(base_sc, out_dir=None):
         pml_mod.Layers(base_sc.pml.sides, x1 - x0).extents(base_sc.domain),
         base_sc.c_p_max, base_sc.element_size)
     # pml_error drops every sample past the horizon, so no run steps there
-    common = {"record_fields": True, "stop_time": min(
+    common = {"record_fields": True, "snapshot_times": [], "stop_time": min(
         horizon, base_sc.stop_time or base_sc.final_time)}
 
     pml_sc = scenario_mod.with_overrides(base_sc, **common)

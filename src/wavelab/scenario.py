@@ -219,7 +219,7 @@ SCHEMA = obj({
         "ny": (_COUNT, 1),
     }), {}),
     "receivers": (list_of(_RANGE), ()),  # inside the mesh
-    "snapshot_times": (list_of(number("[0, inf)")), ()),  # to final_time
+    "snapshot_times": (list_of(number("[0, inf)")), ()),  # to stop_time
     "record_fields": (of_type(bool, "true or false"), False),
     "history_stride": (_COUNT, None),
     "divergence_factor": (number("(1, inf)"), 1e4),
@@ -277,10 +277,11 @@ def from_dict(data):
     if v["stop_time"] is not None and v["stop_time"] > v["final_time"]:
         raise ConfigurationError("stop_time: must lie in (0, final_time]")
     labels = {}  # snapshot file label -> index of the time that first has it
+    end = "final_time" if v["stop_time"] is None else "stop_time"
     for i, t in enumerate(v["snapshot_times"]):
-        if t > v["final_time"]:
+        if t > v[end]:
             raise ConfigurationError(
-                f"snapshot_times[{i}]: must lie in [0, final_time]")
+                f"snapshot_times[{i}]: must lie in [0, {end}]")
         j = labels.setdefault(f"{t:g}", i)
         if j != i:
             raise ConfigurationError(

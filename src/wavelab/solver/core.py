@@ -19,7 +19,6 @@ import numpy as np
 from .. import diagnostics
 from ..errors import UnstableRunError
 from ..operators import lagrange_eval
-from ..pml import SIDES
 from . import fluxes
 
 
@@ -81,8 +80,8 @@ def _volume_terms(mesh, U, Vx, Vy, scratch):
     per element and the metric scaling, written into the caller's arrays."""
     K, L, m, n = mesh.K, mesh.L, mesh.m, mesh.n
     rows = U.reshape(K * L * m, n * n)
-    for line, A, scale, V in ((mesh.line_x, mesh.A_x, mesh.scale_x, Vx),
-                              (mesh.line_y, mesh.A_y, mesh.scale_y, Vy)):
+    for line, A, scale, V in zip((mesh.line_x, mesh.line_y),
+                                 (mesh.A_x, mesh.A_y), mesh.scales, (Vx, Vy)):
         np.matmul(rows, line, out=scratch.reshape(K * L * m, n * n))
         np.matmul(A, scratch.reshape(K * L, m, n * n),
                   out=V.reshape(K * L, m, n * n))
@@ -98,32 +97,6 @@ def _along(a, axis):
     return a.swapaxes(3, 4) if a.ndim == 5 else a
 
 
-def _fluctuations(mesh, U, axis):
-    """Lifted fluctuations H^{-1} e(-1) FL and H^{-1} e(+1) FR on the low and
-    high faces of every element, each shaped like a face slice of
-    ``_along(U, axis)``."""
-    low, high = SIDES[:2] if axis == "x" else SIDES[2:]
-    pairs = [(q, v, s, _along(Z, axis)[..., None])
-             for q, v, s, Z in mesh.face_pairs[axis]]
-    V = _along(U, axis)
-    lo, hi = V[:, :, :, 0], V[:, :, :, -1]
-    # in U's memory order, which keeps rhs's face updates on y fast; rows
-    # that no pair fills stay zero
-    FL = _along(np.zeros((mesh.K, mesh.L, mesh.m, mesh.n)), axis)
-    FR = np.zeros_like(FL)
-    fluxes.elastic_face_fluctuations(
-        [(q, v, s, Z[:-1], Z[1:]) for q, v, s, Z in pairs],
-        hi[:-1], lo[1:], FR[:-1], FL[1:])
-    for side, trace, F, k, outward in ((low, lo, FL, 0, -1.0),
-                                       (high, hi, FR, -1, 1.0)):
-        fluxes.elastic_boundary_fluctuation(
-            [(q, v, s, Z[k]) for q, v, s, Z in pairs], trace[k], F[k],
-            mesh.boundary_r[side], outward)
-    h = mesh.ref.weights
-    scale = (mesh.qx if axis == "x" else mesh.ry)[:, None, None, None]
-    return scale * FL / h[0], scale * FR / h[-1]
-
-
 def rhs(y, mesh, config, out):
     """Write dy/dt of the semi-discrete system at the flat state y into the
     flat vector out (same layout, see ``split``)."""
@@ -131,24 +104,22 @@ def rhs(y, mesh, config, out):
     dU, dw_x, dw_y = split(out, mesh)
     Vx, Vy, scratch, body = mesh.work
     _volume_terms(mesh, U, Vx, Vy, scratch)
-    lifts = [_fluctuations(mesh, U, axis) for axis in "xy"]
-
     np.add(Vx, Vy, out=body)
-    for axis, (lift_lo, lift_hi) in zip("xy", lifts):
+    layers = ((Vx, w_x, dw_x, mesh.active_x, config.theta_x),
+              (Vy, w_y, dw_y, mesh.active_y, config.theta_y))
+    for axis, (V, w, dw, active, theta) in zip("xy", layers):
+        traces = _along(U, axis)
+        lift_lo, lift_hi = fluxes.elastic_face_fluctuations(
+            mesh.lift_maps[axis], traces[:, :, :, 0], traces[:, :, :, -1])
         faces = _along(body, axis)
         faces[:, :, :, 0] -= lift_lo
         faces[:, :, :, -1] -= lift_hi
-    layers = ((Vx, w_x, dw_x, mesh.d_x, mesh.active_x, config.theta_x),
-              (Vy, w_y, dw_y, mesh.d_y, mesh.active_y, config.theta_y))
-    for axis, (lift_lo, lift_hi), (V, w, dw, d, active, theta) in zip(
-            "xy", lifts, layers):
         if not active.size:  # no layer on this axis: w and dw are empty
             continue
-        d_nodes = d[active][:, None, None, :, None]
+        d, d_alpha = mesh.damping[axis]
         w, dw = _along(w, axis), _along(dw, axis)
-        _along(body, axis)[active] -= d_nodes * w
-        np.subtract(_along(V, axis)[active], (d_nodes + mesh.alpha) * w,
-                    out=dw)
+        faces[active] -= d * w
+        np.subtract(_along(V, axis)[active], d_alpha * w, out=dw)
         dw[:, :, :, 0] -= theta * lift_lo[active]
         dw[:, :, :, -1] -= theta * lift_hi[active]
 

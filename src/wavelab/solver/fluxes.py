@@ -15,7 +15,8 @@ and FR = -A_n (hat - trace) on its high face: row q gets +-s (v_hat - v),
 row v +-s (q_hat - q).  Fluctuations vanish when the traces satisfy the
 conditions and dissipate energy for positive impedances.  Products with s
 are exact, and s (q_R - q_L) is the ordered difference ``lead - lag``, so
-each system rounds as its own closed form does.
+each system rounds as its own closed form does.  Both hat states are linear,
+and the mesh evaluates them once on unit traces into maps (``face_maps``).
 """
 
 import numpy as np
@@ -40,36 +41,49 @@ def boundary_hat(q, v, z, r):
     return 0.5 * (1.0 - r) * w, -0.5 * (1.0 + r) * w / z
 
 
-def face_fluctuations(pairs, minus, plus, FR, FL):
-    """Fill the pair rows of FR, the high faces of the minus elements, and
-    FL, the low faces of the plus elements, at interior faces.
-
-    ``minus`` and ``plus`` are the two sides' traces with the field axis
-    second to last; ``pairs`` holds (q, v, s, Z_minus, Z_plus) per pair."""
+def face_maps(pairs, m):
+    """(BL, NL, BR, NR) of interior faces, FL = BL plus + NL minus on the low
+    faces of the plus elements and FR = BR minus + NR plus on the high faces
+    of the minus elements; ``pairs`` holds (q, v, s, Z_minus, Z_plus) per
+    pair, and each map has the impedances' shape + (m, m)."""
+    qm, vm, qp, vp = np.eye(4)  # unit traces, one a column
+    BL, NL, BR, NR = maps = np.zeros((4,) + pairs[0][3].shape + (m, m))
     for q, v, s, Zm, Zp in pairs:
-        qm, vm = minus[..., q, :], minus[..., v, :]
-        qp, vp = plus[..., q, :], plus[..., v, :]
-        q_hat, v_hat = hat_state(s, qm, vm, Zm, qp, vp, Zp)
-        np.multiply(v_hat - vm, -s, out=FR[..., q, :])
-        np.multiply(q_hat - qm, -s, out=FR[..., v, :])
-        np.multiply(v_hat - vp, s, out=FL[..., q, :])
-        np.multiply(q_hat - qp, s, out=FL[..., v, :])
+        q_hat, v_hat = hat_state(s, qm, vm, Zm[..., None], qp, vp,
+                                 Zp[..., None])
+        FR = -s * np.stack([v_hat - vm, q_hat - qm], axis=-2)
+        FL = s * np.stack([v_hat - vp, q_hat - qp], axis=-2)
+        rows, cols = [[q], [v]], [q, v]
+        BR[..., rows, cols], NR[..., rows, cols] = FR[..., :2], FR[..., 2:]
+        NL[..., rows, cols], BL[..., rows, cols] = FL[..., :2], FL[..., 2:]
+    return maps
 
 
-def boundary_fluctuation(pairs, trace, F, r, outward):
-    """Fill the pair rows of F, the fluctuation -o A_n (hat - trace) of
-    boundary faces with outward normal o = ``outward`` (+1 or -1) and
-    reflection coefficient r; ``pairs`` holds (q, v, s, Z) per pair."""
+def boundary_map(pairs, m, r, outward):
+    """Map of boundary traces to their fluctuations -o A_n (hat - trace) for
+    outward normal o = ``outward`` (+-1) and reflection coefficient r;
+    ``pairs`` holds (q, v, s, Z) per pair, the map has Z's shape + (m, m)."""
+    q1, v1 = np.eye(2)
+    F = np.zeros(pairs[0][3].shape + (m, m))
     for q, v, s, Z in pairs:
-        qt, vt = trace[..., q, :], trace[..., v, :]
-        q_hat, v_hat = boundary_hat(qt, vt, (outward * s) * Z, r)
-        np.multiply(v_hat - vt, -outward * s, out=F[..., q, :])
-        np.multiply(q_hat - qt, -outward * s, out=F[..., v, :])
+        q_hat, v_hat = boundary_hat(q1, v1, (outward * s) * Z[..., None], r)
+        F[..., [[q], [v]], [q, v]] = (-outward * s) * np.stack(
+            [v_hat - v1, q_hat - q1], axis=-2)
+    return F
 
 
-# perfbench/tracer.py times the kernels by rebinding these older per-system
-# names, so core calls them through the elastic names (acoustics is the
-# one-pair case) and the acoustic names exist for the tracer to bind.
+def face_fluctuations(maps, lo, hi):
+    """Lifted fluctuations (FL, FR) of every element's low and high faces
+    from its face traces lo and hi, shaped (elements along the axis, across
+    it, m, nodes), and the maps (BL, NL, BR, NR) of ``Mesh.lift_maps``."""
+    BL, NL, BR, NR = maps
+    FL, FR = np.matmul(BL, lo), np.matmul(BR, hi)
+    FL[1:] += np.matmul(NL, hi[:-1])
+    FR[:-1] += np.matmul(NR, lo[1:])
+    return FL, FR
+
+
+# perfbench/tracer.py rebinds these older per-system names to time the face
+# kernel and the boundary map builds; the solver calls the elastic names.
 acoustic_face_fluctuations = elastic_face_fluctuations = face_fluctuations
-acoustic_boundary_fluctuation = elastic_boundary_fluctuation = \
-    boundary_fluctuation
+acoustic_boundary_fluctuation = elastic_boundary_fluctuation = boundary_map

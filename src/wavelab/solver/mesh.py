@@ -1,6 +1,7 @@
 """Conforming rectangular element grid with per-element media and damping."""
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -8,6 +9,7 @@ from ..errors import ConfigurationError
 from ..media import is_acoustic, max_wave_speed
 from ..operators import ReferenceElement1D
 from ..pml import SIDES, Layers
+from . import fluxes
 
 
 def element_count(span, size):
@@ -76,11 +78,6 @@ class Mesh:
         DT, eye, n2 = self.ref.D.T, np.eye(self.n), self.n * self.n
         self.line_x = (DT[:, None, :, None] * eye[:, None]).reshape(n2, n2)
         self.line_y = (eye[:, None, :, None] * DT[:, None]).reshape(n2, n2)
-        # per-node metric factors of the x and y volume terms
-        self.scale_x = (self.qx[:, None] * self.inv_gamma_x)[
-            :, None, None, :, None]
-        self.scale_y = (self.ry[:, None] * self.inv_gamma_y)[
-            None, :, None, None, :]
         # 1/2 J h_i h_j per element and node, shaped (K, L, 1, n^2)
         h = self.ref.weights
         self.energy_weight = 0.5 * self.jac[:, :, None, None] * np.outer(
@@ -104,12 +101,12 @@ class Mesh:
         self.Pmat = np.array([cm.P for cm in cms])[index]
         self.Pinv = np.array([np.linalg.inv(cm.P) for cm in cms])[index]
         # per axis, the faces' characteristic pairs (q, v, s, Z): indices from
-        # the medium, s = A_n[v, q] and Z gathered per element
+        # the medium, s = A_n[v, q] and Z per element in core._along's order
         self.face_pairs = {}
-        for axis, A in (("x", self.A_x), ("y", self.A_y)):
+        for axis, A, ix in (("x", self.A_x, index), ("y", self.A_y, index.T)):
             pairs = [med.face_pairs(axis) for med in self.media]
             self.face_pairs[axis] = tuple(
-                (q, v, A[v, q], np.array([p[i][2] for p in pairs])[index])
+                (q, v, A[v, q], np.array([p[i][2] for p in pairs])[ix])
                 for i, (q, v, _) in enumerate(pairs[0]))
         # the time step follows the media the elements hold
         self.c_max = max_wave_speed([self.media[i] for i in np.unique(index)])
@@ -131,6 +128,38 @@ class Mesh:
         self.alpha = layers.alpha
         self.active_x = np.where(self.d_x.max(axis=1) > 0.0)[0]
         self.active_y = np.where(self.d_y.max(axis=1) > 0.0)[0]
+        # d and d + alpha per auxiliary block, in the order of core._along
+        self.damping = {axis: (d, d + self.alpha) for axis, d in (
+            ("x", self.d_x[self.active_x][:, None, None, :, None]),
+            ("y", self.d_y[self.active_y][:, None, None, :, None]))}
+
+    @cached_property
+    def scales(self):
+        """Per-node metric factors of the x and y volume terms, full-size for
+        one contiguous multiply in rhs(), which builds them and ``lift_maps``
+        on its first call, once per mesh."""
+        return [np.broadcast_to(f, self.work.shape[1:]).copy() for f in (
+            (self.qx[:, None] * self.inv_gamma_x)[:, None, None, :, None],
+            (self.ry[:, None] * self.inv_gamma_y)[None, :, None, None, :])]
+
+    @cached_property
+    def lift_maps(self):
+        """Per axis, the maps (BL, NL, BR, NR) of ``fluxes.face_fluctuations``
+        in the order of ``core._along``, with the boundary faces, all pairs
+        and the lift (2 / element size) / end weight folded in."""
+        h, maps = self.ref.weights, {}
+        for axis, scale, sides in (("x", self.qx, SIDES[:2]),
+                                   ("y", self.ry, SIDES[2:])):
+            pairs = self.face_pairs[axis]
+            BL, NL, BR, NR = fluxes.face_maps(
+                [(q, v, s, Z[:-1], Z[1:]) for q, v, s, Z in pairs], self.m)
+            low, high = (fluxes.elastic_boundary_fluctuation(
+                pairs, self.m, self.boundary_r[side], outward)
+                for side, outward in zip(sides, (-1.0, 1.0)))
+            lo, hi = (scale[:, None, None, None] / w for w in (h[0], h[-1]))
+            maps[axis] = (lo * np.concatenate([low[:1], BL]), lo[1:] * NL,
+                          hi * np.concatenate([BR, high[-1:]]), hi[:-1] * NR)
+        return maps
 
     # -- geometry helpers ---------------------------------------------------
 

@@ -1,9 +1,11 @@
 """Reference computations that only the tests use: the SBP identity of the
 reference element, the element kernels of the solver as einsum contractions,
-the complex stretching metric of the PML, the slowest elastic wave speed,
-the per-direction plane-wave analysis that ``wavelab.analysis.branches``
-batches, the exact group velocity, and the search that derives a medium
-violating the geometric stability condition."""
+the face fluctuations one characteristic pair at a time and the right-hand
+side built on them, the complex stretching metric of the PML, the slowest
+elastic wave speed, the per-direction plane-wave analysis that
+``wavelab.analysis.branches`` batches, the exact group velocity, and the
+search that derives a medium violating the geometric stability
+condition."""
 
 import numpy as np
 
@@ -12,6 +14,9 @@ from wavelab.analysis import (_DEGENERATE_RTOL, dispersion_roots,
 from wavelab.errors import DegenerateBranchError, NumericalFailureError
 from wavelab.media import ElasticMedium2D
 from wavelab.operators import lagrange_eval
+from wavelab.pml import SIDES
+from wavelab.solver import fluxes
+from wavelab.solver.core import _along, split
 
 
 def sbp_q(ref):
@@ -54,6 +59,87 @@ def discrete_energy(U, mesh):
     PU = np.einsum("klab,klbij->klaij", mesh.Pinv, U)
     per_elem = np.einsum("klaij,klaij,i,j->kl", U, PU, h, h)
     return 0.5 * float(np.sum(mesh.jac * per_elem))
+
+
+def face_fluctuations(pairs, minus, plus, FR, FL):
+    """Fill the pair rows of FR, the high faces of the minus elements, and
+    FL, the low faces of the plus elements, at interior faces.
+
+    ``minus`` and ``plus`` are the two sides' traces with the field axis
+    second to last; ``pairs`` holds (q, v, s, Z_minus, Z_plus) per pair."""
+    for q, v, s, Zm, Zp in pairs:
+        qm, vm = minus[..., q, :], minus[..., v, :]
+        qp, vp = plus[..., q, :], plus[..., v, :]
+        q_hat, v_hat = fluxes.hat_state(s, qm, vm, Zm, qp, vp, Zp)
+        np.multiply(v_hat - vm, -s, out=FR[..., q, :])
+        np.multiply(q_hat - qm, -s, out=FR[..., v, :])
+        np.multiply(v_hat - vp, s, out=FL[..., q, :])
+        np.multiply(q_hat - qp, s, out=FL[..., v, :])
+
+
+def boundary_fluctuation(pairs, trace, F, r, outward):
+    """Fill the pair rows of F, the fluctuation -o A_n (hat - trace) of
+    boundary faces with outward normal o = ``outward`` (+1 or -1) and
+    reflection coefficient r; ``pairs`` holds (q, v, s, Z) per pair."""
+    for q, v, s, Z in pairs:
+        qt, vt = trace[..., q, :], trace[..., v, :]
+        q_hat, v_hat = fluxes.boundary_hat(qt, vt, (outward * s) * Z, r)
+        np.multiply(v_hat - vt, -outward * s, out=F[..., q, :])
+        np.multiply(q_hat - qt, -outward * s, out=F[..., v, :])
+
+
+def fluctuations(mesh, U, axis):
+    """Lifted fluctuations H^{-1} e(-1) FL and H^{-1} e(+1) FR on the low and
+    high faces of every element, each shaped like a face slice of
+    ``_along(U, axis)``, one pair and one face set at a time, with the
+    impedances gathered from the media, not from ``mesh.face_pairs``."""
+    low, high = SIDES[:2] if axis == "x" else SIDES[2:]
+    A = mesh.A_x if axis == "x" else mesh.A_y
+    per_medium = [med.face_pairs(axis) for med in mesh.media]
+    pairs = []
+    for i, (q, v, _) in enumerate(per_medium[0]):
+        Z = np.array([p[i][2] for p in per_medium])[mesh.index]  # (K, L)
+        pairs.append((q, v, A[v, q], _along(Z, axis)[..., None]))
+    V = _along(U, axis)
+    lo, hi = V[:, :, :, 0], V[:, :, :, -1]
+    FL = np.zeros(lo.shape)  # rows that no pair fills stay zero
+    FR = np.zeros_like(FL)
+    face_fluctuations([(q, v, s, Z[:-1], Z[1:]) for q, v, s, Z in pairs],
+                      hi[:-1], lo[1:], FR[:-1], FL[1:])
+    for side, trace, F, k, outward in ((low, lo, FL, 0, -1.0),
+                                       (high, hi, FR, -1, 1.0)):
+        boundary_fluctuation([(q, v, s, Z[k]) for q, v, s, Z in pairs],
+                             trace[k], F[k], mesh.boundary_r[side], outward)
+    h = mesh.ref.weights
+    scale = (mesh.qx if axis == "x" else mesh.ry)[:, None, None, None]
+    return scale * FL / h[0], scale * FR / h[-1]
+
+
+def rhs(y, mesh, config):
+    """dy/dt of the semi-discrete system at the flat state y, with the
+    einsum volume terms and P multiply and the per-pair fluctuations."""
+    U, w_x, w_y = split(y, mesh)
+    out = np.zeros_like(y)
+    dU, dw_x, dw_y = split(out, mesh)
+    Vx, Vy = volume_terms(mesh, U)
+    body = Vx + Vy
+    layers = ((Vx, w_x, dw_x, mesh.d_x, mesh.active_x, config.theta_x),
+              (Vy, w_y, dw_y, mesh.d_y, mesh.active_y, config.theta_y))
+    for axis, (V, w, dw, d, active, theta) in zip("xy", layers):
+        lift_lo, lift_hi = fluctuations(mesh, U, axis)
+        faces = _along(body, axis)
+        faces[:, :, :, 0] -= lift_lo
+        faces[:, :, :, -1] -= lift_hi
+        if not active.size:
+            continue
+        d_nodes = d[active][:, None, None, :, None]
+        w, dw = _along(w, axis), _along(dw, axis)
+        _along(body, axis)[active] -= d_nodes * w
+        dw[:] = _along(V, axis)[active] - (d_nodes + mesh.alpha) * w
+        dw[:, :, :, 0] -= theta * lift_lo[active]
+        dw[:, :, :, -1] -= theta * lift_hi[active]
+    dU[:] = p_multiply(mesh, body)
+    return out
 
 
 def stretching_metric(s, d, alpha, gamma=1.0):

@@ -1,8 +1,13 @@
+"""The hat states, the per-pair fluctuation oracles in ``tests/oracles.py``
+that pin their meaning, and the solver's lift maps against those oracles."""
+
 import numpy as np
 import pytest
 
-from wavelab import media
-from wavelab.solver import fluxes
+import oracles
+from wavelab import media, pml
+from wavelab.solver import build_mesh, fluxes
+from wavelab.solver.core import _along
 
 ACOUSTIC, ELASTIC = -1.0, 1.0  # the sign s = A_n[v, q] of each system
 
@@ -22,7 +27,7 @@ def medium_pairs(medium, axis):
 
 def boundary_F(pairs, trace, r, outward):
     F = np.zeros_like(trace)
-    fluxes.boundary_fluctuation(pairs, trace, F, r, outward)
+    oracles.boundary_fluctuation(pairs, trace, F, r, outward)
     return F
 
 
@@ -31,7 +36,7 @@ def face_F(pairs, minus, plus, Z_plus=None):
     ``Z_plus`` gives its own, one per pair."""
     Z_plus = Z_plus or [Z for *_, Z in pairs]
     FR, FL = np.zeros_like(minus), np.zeros_like(plus)
-    fluxes.face_fluctuations(
+    oracles.face_fluctuations(
         [(q, v, s, Zm, Zp) for (q, v, s, Zm), Zp in zip(pairs, Z_plus)],
         minus, plus, FR, FL)
     return FR, FL
@@ -227,3 +232,46 @@ def test_fluctuations_are_the_coefficient_matrix_times_the_jump(preset,
             hat[:, q], hat[:, v] = fluxes.boundary_hat(
                 Um[:, q], Um[:, v], outward * s * Z, r)
         np.testing.assert_allclose(F, -outward * A @ (hat - Um), atol=1e-13)
+
+
+R_VALUES = (-1.0, -0.4, 0.0, 0.3, 1.0)
+LAYERS = pml.Layers(("east", "north"), 1.0, d0=2.0, gamma=1.5)
+
+
+def lift_mesh(name, r):
+    """A 4 x 3 element mesh of one medium preset, or of two media split at
+    2.0 on x or y (``two-elastic-x``, ``two-acoustic-y``, ...) so that the
+    impedances jump at an interface, with reflection coefficient r on every
+    side."""
+    if name.startswith("two-"):
+        _, kind, axis = name.split("-")
+        chosen = ((media.preset("iso-table1"), media.preset("am1-table1"))
+                  if kind == "elastic" else
+                  (media.preset("acoustic-484"),
+                   media.AcousticMedium(rho=2.0, kappa=3.0)))
+        interface = (axis, 2.0)
+    else:
+        chosen, interface = (media.preset(name),), None
+    return build_mesh(0.0, 3.0, 0.0, 2.0, 1.0, 3, chosen,
+                      dict.fromkeys(pml.SIDES, r), layers=LAYERS,
+                      interface=interface)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("name", ["acoustic-484", "iso-table1", "am1-table1",
+                                  "aniso-violating", "two-elastic-x",
+                                  "two-elastic-y", "two-acoustic-x",
+                                  "two-acoustic-y"])
+def test_lift_maps_times_traces_equal_the_per_pair_oracle(name, axis):
+    """The face kernel with the mesh's maps gives the per-pair fluctuations,
+    lifted, on interior faces and on the low (outward -1) and high (outward
+    +1) boundary faces, for every reflection coefficient."""
+    rng = np.random.default_rng(11)
+    for r in R_VALUES:
+        mesh = lift_mesh(name, r)
+        U = rng.normal(size=(mesh.K, mesh.L, mesh.m, mesh.n, mesh.n))
+        V = _along(U, axis)
+        got = fluxes.face_fluctuations(mesh.lift_maps[axis], V[:, :, :, 0],
+                                       V[:, :, :, -1])
+        for g, want in zip(got, oracles.fluctuations(mesh, U, axis)):
+            assert np.max(np.abs(g - want)) <= 1e-14 * np.max(np.abs(want))

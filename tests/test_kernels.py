@@ -1,12 +1,15 @@
 """The solver's element kernels (volume terms, the P multiply and the
-discrete energy), as matrix products over all elements, against their
-einsum oracles in ``tests/oracles.py``."""
+discrete energy), as matrix products over all elements, and its whole
+right-hand side, against their oracles in ``tests/oracles.py``."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from wavelab import diagnostics, media, pml
+from wavelab import diagnostics, media, pml, scenario
 from wavelab.operators import MAX_DEGREE
 from wavelab.solver import SolverConfig, build_mesh, rhs
 from wavelab.solver.core import _volume_terms, split, zero_state
@@ -66,3 +69,29 @@ def test_kernels_match_their_einsum_oracles(name, degree):
 
     E = diagnostics.discrete_energy(U, mesh)
     assert abs(E - oracles.discrete_energy(U, mesh)) <= 1e-13 * abs(E)
+
+
+def _golden_scenarios():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "golden_csv.py"
+    spec = importlib.util.spec_from_file_location("golden_csv", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.scenarios()
+
+
+GOLDEN = {sc.name: sc for sc in _golden_scenarios()}
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_rhs_matches_the_per_pair_oracle(name, theta):
+    """rhs, with the lift maps, against the oracle rhs built on the per-pair
+    fluctuations, on every scenario preset and every golden variant."""
+    assert set(scenario.PRESET_SCENARIOS) <= set(GOLDEN)
+    mesh, _ = GOLDEN[name].build()
+    config = SolverConfig(theta_x=theta, theta_y=theta)
+    y = np.random.default_rng(13).normal(size=zero_state(mesh).y.size)
+    out = np.empty_like(y)
+    rhs(y, mesh, config, out)
+    want = oracles.rhs(y, mesh, config)
+    assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))

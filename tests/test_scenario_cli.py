@@ -580,3 +580,40 @@ def test_cli_run_reports_the_steps_it_ran(tmp_path, capsys):
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["status"] == "completed"
     assert 0 < meta["steps_taken"] == meta["n_steps"]
+
+
+def test_snapshot_past_stop_time_is_rejected(tmp_path, capsys):
+    """A snapshot after stop_time would never be taken; from_dict names it
+    and ``wavelab run`` exits 2 without writing anything."""
+    data = tiny_scenario_dict(final_time=2.0, stop_time=1.0,
+                              snapshot_times=[0.5, 1.5])
+    with pytest.raises(ConfigurationError,
+                       match=r"^snapshot_times\[1\]: must lie in "
+                             r"\[0, stop_time\]$"):
+        scenario.from_dict(data)
+    out = tmp_path / "out"
+    assert cli.main(["run", write_scenario(tmp_path, data),
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "snapshot_times[1]: must lie in [0, stop_time]" in \
+        capsys.readouterr().err
+    assert not out.exists()
+    # a snapshot at stop_time itself is taken
+    data["snapshot_times"] = [0.5, 1.0]
+    assert cli.main(["run", write_scenario(tmp_path, data),
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert sorted(p.name for p in out.glob("snapshot_t*.csv")) == [
+        "snapshot_t0.5.csv", "snapshot_t1.csv"]
+
+
+def test_compare_abc_drops_snapshots_past_its_horizon(tmp_path):
+    """compare_abc stops its runs at the validity horizon and writes no
+    snapshots, so a base with snapshots past the horizon still runs."""
+    base = scenario.from_dict(tiny_scenario_dict(
+        domain={"x": [-20.0, 20.0], "y": [0.0, 20.0]}, element_size=5.0,
+        degree=2, medium={"preset": "acoustic-484"},
+        pml={"sides": ["east"], "width": 5.0}, final_time=60.0,
+        receivers=[], snapshot_times=[55.0],
+        initial={"type": "gaussian-pulse"}))
+    _, _, horizon = cli.compare_abc(base, tmp_path / "cmp")
+    assert horizon < 55.0
+    assert (tmp_path / "cmp" / "error_series.csv").is_file()
