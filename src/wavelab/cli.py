@@ -14,13 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, diagnostics
+from . import __version__, analysis, diagnostics, solver
 from . import media as media_mod
 from . import pml as pml_mod
 from . import scenario as scenario_mod
 from .errors import (ConfigurationError, InvalidMediumError,
                      NumericalFailureError, UnstableRunError)
-from .solver.core import standing_mode
+from .solver.core import standing_mode, time_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -28,15 +28,12 @@ EXIT_UNSTABLE = 3
 EXIT_NUMERICAL = 4
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
 def _write_csv(path, header, rows):
+    """Write the 2-D array ``rows`` under ``header``, as Python float reprs."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for row in np.asarray(rows, dtype=float):  # no list of every value
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def scenario_hash(sc):
@@ -62,7 +59,7 @@ def write_run_artifacts(out_dir, sc, record):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "series.csv", ["t", "linf", "energy"],
-               zip(record.times, record.linf, record.energy))
+               np.column_stack([record.times, record.linf, record.energy]))
     if record.receiver_series is not None:
         header = ["t"] + [f"rec{i}_{f}"
                           for i in range(len(record.receiver_series))
@@ -161,28 +158,43 @@ def compare_abc(base_sc, out_dir=None):
         base_sc.domain,
         pml_mod.Layers(base_sc.pml.sides, x1 - x0).extents(base_sc.domain),
         base_sc.c_p_max, base_sc.element_size)
-    # pml_error drops every sample past the horizon, so no run steps there
-    common = {"record_fields": True, "snapshot_times": [], "stop_time": min(
+    # the error series ends at the horizon, so no run steps past it
+    common = {"snapshot_times": [], "stop_time": min(
         horizon, base_sc.stop_time or base_sc.final_time)}
+    stored = {"record_fields": True, **common}
 
-    pml_sc = scenario_mod.with_overrides(base_sc, **common)
-    abc_sc = scenario_mod.with_overrides(base_sc, d0=0.0, **common)
+    pml_sc = scenario_mod.with_overrides(base_sc, **stored)
+    abc_sc = scenario_mod.with_overrides(base_sc, d0=0.0, **stored)
     ref_sc = scenario_mod.with_overrides(
         base_sc, name=base_sc.name + "-reference", **common,
         pml={"sides": list(base_sc.pml.sides), "width": x1 - x0, "d0": 0.0})
 
     pml_rec = scenario_mod.run_scenario(pml_sc)
     abc_rec = scenario_mod.run_scenario(abc_sc)
-    ref_rec = scenario_mod.run_scenario(ref_sc)
+    ref_mesh, ref_config = ref_sc.build()
+    diagnostics.check_lockstep((pml_rec, abc_rec), ref_mesh,
+                               time_grid(ref_config, ref_mesh)[0])
+    rows = []
 
-    pml_err = diagnostics.pml_error(pml_rec, ref_rec, horizon)
-    abc_err = diagnostics.pml_error(abc_rec, ref_rec, horizon)
+    def measure(i, U):  # the reference's sample i against the stored ones
+        rows.append(diagnostics.pml_error(pml_rec.history[i], U, pml_rec.mesh)
+                    + diagnostics.pml_error(abc_rec.history[i], U,
+                                            abc_rec.mesh))
+
+    # the reference records no history: it is measured as it steps
+    solver.run(ref_mesh, ref_config, initial=ref_sc.initial,
+               divergence_factor=ref_sc.divergence_factor, on_sample=measure)
+    # times increase, so the samples within the horizon are a prefix
+    times = pml_rec.history_times
+    keep = int(np.searchsorted(times, horizon + 1e-12, side="right"))
+    times, errors = times[:keep], np.array(rows)[:keep]
+    pml_err = diagnostics.ErrorSeries(times, errors[:, 0], errors[:, 1])
+    abc_err = diagnostics.ErrorSeries(times, errors[:, 2], errors[:, 3])
 
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "error_series.csv",
                ["t", "pml_linf", "pml_l2", "abc_linf", "abc_l2"],
-               zip(pml_err.times, pml_err.linf, pml_err.l2,
-                   abc_err.linf, abc_err.l2))
+               np.column_stack([times, errors]))
     _write_metadata(out, base_sc, {
         "horizon": horizon,
         "pml_max_linf_error": pml_err.max_linf(),

@@ -54,39 +54,26 @@ def reference_validity_horizon(interior_box, reference_extents, c_max,
     return max(0.0, (2.0 * dist - element_size) / c_max)
 
 
-def pml_error(record, reference, horizon=None):
-    """L-infinity and L2 differences against a reference run on the interior.
+def check_lockstep(records, mesh, dt):
+    """Raise ValueError unless every record was stepped with ``dt`` and holds
+    a field history shaped like the ``mesh.interior`` elements, so that its
+    samples pair one for one with those of a run on ``mesh``."""
+    kx0, kx1, ly0, ly1 = mesh.interior
+    shape = (kx1 - kx0, ly1 - ly0, mesh.m, mesh.n, mesh.n)
+    for rec in records:
+        if rec.dt != dt:
+            raise ValueError(f"time steps differ: {rec.dt!r} vs {dt!r}")
+        if rec.history is None or rec.history.shape[1:] != shape:
+            raise ValueError(f"histories are not shaped {shape}")
 
-    Both runs must carry field history, which covers ``mesh.interior``, on
-    meshes whose interiors agree (element size and degree); times must line
-    up sample-for-sample.  Entries beyond the caller-supplied validity
-    ``horizon`` are dropped.
-    """
-    if record.history is None or reference.history is None:
-        raise ValueError("both runs must be recorded with record_fields=True")
-    mesh_a, mesh_b = record.mesh, reference.mesh
-    if mesh_a.N != mesh_b.N:
-        raise ValueError("runs use different polynomial degrees")
-    n = min(len(record.history_times), len(reference.history_times))
-    ta = record.history_times[:n]
-    tb = reference.history_times[:n]
-    if not np.allclose(ta, tb, rtol=0, atol=1e-9):
-        raise ValueError("recorded time grids do not line up")
-    A = record.history[:n]
-    B = reference.history[:n]
-    if A.shape != B.shape:
-        raise ValueError(
-            f"interior histories have different shapes {A.shape} vs {B.shape}")
-    if horizon is not None:
-        # times increase, so the samples within the horizon are a prefix
-        keep = int(np.searchsorted(ta, horizon + 1e-12, side="right"))
-        ta, A, B = ta[:keep], A[:keep], B[:keep]
 
-    diff = A - B
-    h = mesh_a.ref.weights
-    kx0, kx1, ly0, ly1 = mesh_a.interior
-    jac = mesh_a.jac[kx0:kx1, ly0:ly1]
-    linf = np.array([linf_norm(d, mesh_a) for d in diff])
-    per = np.einsum("tklaij,tklaij,i,j->tkl", diff, diff, h, h)
-    l2 = np.sqrt(np.sum(per * jac, axis=(1, 2)))
-    return ErrorSeries(times=ta, linf=linf, l2=l2)
+def pml_error(a, b, mesh):
+    """(L-infinity, L2) norms of a - b, two samples of the fields of the
+    ``mesh.interior`` elements: the norm of the mesh's ``linf_field`` and
+    the quadrature L2 norm over all fields."""
+    d = a - b
+    h = mesh.ref.weights
+    kx0, kx1, ly0, ly1 = mesh.interior
+    per = np.einsum("klaij,klaij,i,j->kl", d, d, h, h)
+    return linf_norm(d, mesh), float(
+        np.sqrt(np.sum(per * mesh.jac[kx0:kx1, ly0:ly1])))

@@ -155,6 +155,14 @@ def rk4_step(y, dt, f, stages):
     y += np.multiply(dt / 6.0, k1, out=k1)
 
 
+def time_grid(config, mesh):
+    """(dt, n_steps): final_time in the fewest equal steps of at most the
+    CFL step."""
+    n_steps = max(1, int(np.ceil(config.final_time / timestep(config, mesh)
+                                 - 1e-12)))
+    return config.final_time / n_steps, n_steps
+
+
 def advance(state, dt, mesh, config):
     """One RK4 step of the state, in place, from t to t + dt."""
     if state.stages is None:
@@ -253,8 +261,14 @@ def _receiver_stencils(mesh, locations):
 
 
 def run(mesh, config, initial=None, receivers=(), snapshot_times=(),
-        record_fields=False, history_stride=None, divergence_factor=1e4):
+        record_fields=False, history_stride=None, divergence_factor=1e4,
+        on_sample=None):
     """Step the system to the final (or stop) time, recording diagnostics.
+
+    Every ``history_stride`` steps, the fields of the ``mesh.interior``
+    elements are sampled: stored in the history with ``record_fields``, and
+    passed as ``on_sample(i, U_interior)`` for sample i, a view of the state
+    that the next step overwrites.
 
     Raises UnstableRunError, carrying the record up to the last sampled
     step so growth histories remain available, if the state leaves the
@@ -265,9 +279,7 @@ def run(mesh, config, initial=None, receivers=(), snapshot_times=(),
              if isinstance(initial, SimState)
              else initial_state(mesh, initial))
     U = state.U
-    dt_max = timestep(config, mesh)
-    n_steps = max(1, int(np.ceil(config.final_time / dt_max - 1e-12)))
-    dt = config.final_time / n_steps
+    dt, n_steps = time_grid(config, mesh)
     stop_time = config.stop_time if config.stop_time is not None \
         else config.final_time
     # steps taken: step k + 1 starts at k dt, which must lie before stop_time
@@ -286,9 +298,9 @@ def run(mesh, config, initial=None, receivers=(), snapshot_times=(),
         receiver_series=(np.empty((len(stencils), times.size, mesh.m))
                          if stencils else None),
         linf_field="p" if mesh.acoustic else "vmag")
+    kx0, kx1, ly0, ly1 = mesh.interior
+    stride = history_stride or max(1, n_steps // 400)
     if record_fields:
-        kx0, kx1, ly0, ly1 = mesh.interior
-        stride = history_stride or max(1, n_steps // 400)
         rec.history_times = times[::stride]
         rec.history = np.empty((rec.history_times.size, kx1 - kx0, ly1 - ly0)
                                + U.shape[2:])
@@ -302,8 +314,12 @@ def run(mesh, config, initial=None, receivers=(), snapshot_times=(),
                                                      ex, ey)
         if step in snap_steps:
             rec.snapshots.update(dict.fromkeys(snap_steps[step], U.copy()))
-        if record_fields and step % stride == 0:
-            rec.history[step // stride] = U[kx0:kx1, ly0:ly1]
+        if (record_fields or on_sample) and step % stride == 0:
+            interior = U[kx0:kx1, ly0:ly1]
+            if record_fields:
+                rec.history[step // stride] = interior
+            if on_sample:
+                on_sample(step // stride, interior)
         if step and linf > divergence_factor * rec.linf[0] > 0:
             failure = (f"L-infinity norm diverged ({linf:.3g} > "
                        f"{divergence_factor:g} x initial)")

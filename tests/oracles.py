@@ -3,14 +3,15 @@ reference element, the element kernels of the solver as einsum contractions,
 the face fluctuations one characteristic pair at a time and the right-hand
 side built on them, the complex stretching metric of the PML, the slowest
 elastic wave speed, the per-direction plane-wave analysis that
-``wavelab.analysis.branches`` batches, the exact group velocity, and the
+``wavelab.analysis.branches`` batches, the exact group velocity, the
 search that derives a medium violating the geometric stability
-condition."""
+condition, and the interior PML error of two recorded field histories."""
 
 import numpy as np
 
 from wavelab.analysis import (_DEGENERATE_RTOL, dispersion_roots,
                               geometric_stability_check)
+from wavelab.diagnostics import ErrorSeries, linf_norm
 from wavelab.errors import DegenerateBranchError, NumericalFailureError
 from wavelab.media import ElasticMedium2D
 from wavelab.operators import lagrange_eval
@@ -278,3 +279,43 @@ def find_violating_medium(axis="x", rho=1.0, n_coarse=180, n_confirm=720):
                     if report.verdict == "unstable":
                         return medium, report
     raise NumericalFailureError("violating-medium scan exhausted the grid")
+
+
+def pml_error(record, reference, horizon=None):
+    """L-infinity and L2 differences against a reference run on the interior,
+    from the field histories of both runs, batched over the samples; the
+    per-sample form is ``wavelab.diagnostics.pml_error``.
+
+    Both runs must carry field history, which covers ``mesh.interior``, on
+    meshes whose interiors agree (element size and degree); times must line
+    up sample-for-sample.  Entries beyond the validity ``horizon`` are
+    dropped.
+    """
+    if record.history is None or reference.history is None:
+        raise ValueError("both runs must be recorded with record_fields=True")
+    mesh_a, mesh_b = record.mesh, reference.mesh
+    if mesh_a.N != mesh_b.N:
+        raise ValueError("runs use different polynomial degrees")
+    n = min(len(record.history_times), len(reference.history_times))
+    ta = record.history_times[:n]
+    tb = reference.history_times[:n]
+    if not np.allclose(ta, tb, rtol=0, atol=1e-9):
+        raise ValueError("recorded time grids do not line up")
+    A = record.history[:n]
+    B = reference.history[:n]
+    if A.shape != B.shape:
+        raise ValueError(
+            f"interior histories have different shapes {A.shape} vs {B.shape}")
+    if horizon is not None:
+        # times increase, so the samples within the horizon are a prefix
+        keep = int(np.searchsorted(ta, horizon + 1e-12, side="right"))
+        ta, A, B = ta[:keep], A[:keep], B[:keep]
+
+    diff = A - B
+    h = mesh_a.ref.weights
+    kx0, kx1, ly0, ly1 = mesh_a.interior
+    jac = mesh_a.jac[kx0:kx1, ly0:ly1]
+    linf = np.array([linf_norm(d, mesh_a) for d in diff])
+    per = np.einsum("tklaij,tklaij,i,j->tkl", diff, diff, h, h)
+    l2 = np.sqrt(np.sum(per * jac, axis=(1, 2)))
+    return ErrorSeries(times=ta, linf=linf, l2=l2)

@@ -102,27 +102,47 @@ def test_receiver_sample_nodal_and_polynomial_exactness():
         run(mesh, cfg, initial=st, receivers=[(5.0, 0.5)])
 
 
-def test_pml_error_of_run_against_itself_is_zero():
+def _recorded_run(**kw):
     med = media.preset("acoustic-484")
     mesh = build_mesh(0.0, 10.0, 0.0, 10.0, 5.0, 3, (med,), R1,
                       layers=pml.Layers(("east",), 5.0, d0=1.0))
-    rec = run(mesh, SolverConfig(final_time=1.0),
-              initial={"type": "gaussian-pulse", "center": (5.0, 5.0)},
-              record_fields=True, history_stride=1)
+    return run(mesh, SolverConfig(final_time=1.0),
+               initial={"type": "gaussian-pulse", "center": (5.0, 5.0)},
+               **kw)
+
+
+def test_pml_error_of_run_against_itself_is_zero():
+    rec = _recorded_run(record_fields=True, history_stride=1)
     # the history covers the 2 x 2 interior elements, not the layer
-    assert mesh.interior == (0, 2, 0, 2)
+    assert rec.mesh.interior == (0, 2, 0, 2)
     assert rec.history.shape[1:3] == (2, 2)
-    err = diagnostics.pml_error(rec, rec)
-    assert np.all(err.linf == 0.0)
-    assert np.all(err.l2 == 0.0)
+    for U in rec.history:
+        assert diagnostics.pml_error(U, U.copy(), rec.mesh) == (0.0, 0.0)
+    linf, l2 = diagnostics.pml_error(rec.history[-1], rec.history[0],
+                                     rec.mesh)
+    assert linf > 0.0 and l2 > 0.0
 
 
 def test_pml_error_requires_field_history():
-    med = media.preset("acoustic-484")
-    mesh = build_mesh(0.0, 10.0, 0.0, 10.0, 5.0, 3, (med,), R1)
-    rec = run(mesh, SolverConfig(final_time=0.5), initial={"type": "zero"})
-    with pytest.raises(ValueError):
-        diagnostics.pml_error(rec, rec)
+    rec = _recorded_run()
+    assert rec.history is None
+    with pytest.raises(ValueError, match="not shaped"):
+        diagnostics.check_lockstep([rec], rec.mesh, rec.dt)
+
+
+def test_check_lockstep_rejects_a_dt_or_shape_mismatch():
+    rec = _recorded_run(record_fields=True)
+    diagnostics.check_lockstep([rec, rec], rec.mesh, rec.dt)
+    with pytest.raises(ValueError, match="time steps differ"):
+        diagnostics.check_lockstep([rec], rec.mesh, 0.5 * rec.dt)
+    other = build_mesh(0.0, 15.0, 0.0, 10.0, 5.0, 3,
+                       (media.preset("acoustic-484"),), R1)
+    with pytest.raises(ValueError, match="not shaped"):
+        diagnostics.check_lockstep([rec], other, rec.dt)
+    finer = build_mesh(0.0, 10.0, 0.0, 10.0, 5.0, 4,
+                       (media.preset("acoustic-484"),), R1)
+    with pytest.raises(ValueError, match="not shaped"):
+        diagnostics.check_lockstep([rec], finer, rec.dt)
 
 
 def test_reference_validity_horizon():

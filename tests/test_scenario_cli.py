@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
+import wavelab.solver
 from wavelab import cli, media, scenario
 from wavelab.errors import ConfigurationError
 
@@ -412,29 +414,40 @@ def test_compare_abc_small_scenario(tmp_path):
     assert len(body) > 10
 
 
+def _captured_solver_runs(monkeypatch, **forced):
+    """Records of every ``wavelab.solver.run`` call, in call order, with
+    the keywords in ``forced`` set on each call."""
+    records = []
+    original = wavelab.solver.run
+
+    def record(*args, **kwargs):
+        records.append(original(*args, **{**kwargs, **forced}))
+        return records[-1]
+
+    monkeypatch.setattr(wavelab.solver, "run", record)
+    return records
+
+
+ALL_SIDES_BASE = dict(
+    domain={"x": [-20.0, 20.0], "y": [0.0, 20.0]}, element_size=5.0,
+    degree=2, medium={"preset": "acoustic-484"},
+    pml={"sides": ["west", "east", "south", "north"], "width": 10.0,
+         "gamma": 1.5},
+    final_time=10.0, receivers=[], snapshot_times=[],
+    initial={"type": "gaussian-pulse"})
+
+
 def test_compare_abc_reference_is_an_undamped_layer(tmp_path, monkeypatch):
     """The reference run is the base with an undamped layer as wide as the
     domain on each of the base's layer sides: the grown domain's mesh, no
-    auxiliary fields and gamma = 1 although the base has 1.5, and a history
-    of the base interior only.  It absorbs nowhere, so the PML run's error
-    stays small where a wall of the reference would reflect."""
-    records = []
-    run_scenario = scenario.run_scenario
-
-    def record(sc):
-        records.append(run_scenario(sc))
-        return records[-1]
-
-    monkeypatch.setattr(scenario, "run_scenario", record)
-    base = scenario.from_dict(tiny_scenario_dict(
-        domain={"x": [-20.0, 20.0], "y": [0.0, 20.0]}, element_size=5.0,
-        degree=2, medium={"preset": "acoustic-484"},
-        pml={"sides": ["west", "east", "south", "north"], "width": 10.0,
-             "gamma": 1.5},
-        final_time=10.0, receivers=[], snapshot_times=[],
-        initial={"type": "gaussian-pulse"}))
+    auxiliary fields and gamma = 1 although the base has 1.5, and the base
+    interior.  It records no history: it is measured against the stored
+    runs as it steps.  It absorbs nowhere, so the PML run's error stays
+    small where a wall of the reference would reflect."""
+    records = _captured_solver_runs(monkeypatch)
+    base = scenario.from_dict(tiny_scenario_dict(**ALL_SIDES_BASE))
     pml_err, _, _ = cli.compare_abc(base, tmp_path / "cmp")
-    pml_rec, _, ref_rec = records
+    pml_rec, abc_rec, ref_rec = records
     ref = ref_rec.mesh
     # 40 (the x extent) beyond every side of [-20, 20] x [0, 20]
     assert np.array_equal(ref.x_edges, -60.0 + 5.0 * np.arange(25))
@@ -443,10 +456,42 @@ def test_compare_abc_reference_is_an_undamped_layer(tmp_path, monkeypatch):
     assert ref.active_x.size == 0 and ref.active_y.size == 0
     assert np.all(ref.inv_gamma_x == 1.0) and np.all(ref.inv_gamma_y == 1.0)
     assert pml_rec.mesh.inv_gamma_x.min() < 1.0
-    assert ref_rec.history.shape == pml_rec.history.shape
+    assert ref_rec.history is None
+    assert pml_rec.history is not None and abc_rec.history is not None
+
+    def interior_shape(mesh):
+        kx0, kx1, ly0, ly1 = mesh.interior
+        return kx1 - kx0, ly1 - ly0
+
+    assert interior_shape(ref) == interior_shape(pml_rec.mesh) == (8, 4)
+    assert ref_rec.dt == pml_rec.dt == abc_rec.dt
     # a reference with walls where the base has layers put this at 0.13
     late = np.argmin(np.abs(pml_err.times - 9.5))
     assert pml_err.linf[late] < 1e-3
+
+
+@pytest.mark.parametrize("base", [
+    dict(domain={"x": [-20.0, 20.0], "y": [0.0, 20.0]}, element_size=5.0,
+         degree=3, medium={"preset": "acoustic-484"},
+         pml={"sides": ["east"], "width": 10.0, "tol": 0.001, "alpha": 0.15},
+         boundaries={"west": -1.0, "east": 0.0, "south": 1.0, "north": 1.0},
+         final_time=30.0, initial={"type": "gaussian-pulse"},
+         receivers=[], snapshot_times=[]),
+    ALL_SIDES_BASE], ids=["acoustic-east", "all-sides"])
+def test_compare_abc_series_equal_the_history_oracle(base, tmp_path,
+                                                     monkeypatch):
+    """The errors measured as the reference steps equal, bit for bit, the
+    batched differences of the recorded histories of the same three runs."""
+    records = _captured_solver_runs(monkeypatch, record_fields=True)
+    pml_err, abc_err, horizon = cli.compare_abc(
+        scenario.from_dict(tiny_scenario_dict(**base)), tmp_path / "cmp")
+    pml_rec, abc_rec, ref_rec = records
+    for got, rec in ((pml_err, pml_rec), (abc_err, abc_rec)):
+        want = oracles.pml_error(rec, ref_rec, horizon)
+        assert len(want.times) > 10
+        for name in ("times", "linf", "l2"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert abc_err.max_linf() > 0.0
 
 
 def test_compare_abc_rejects_a_base_without_a_layer(tmp_path):

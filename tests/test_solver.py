@@ -278,6 +278,29 @@ def test_perfect_matching_before_arrival():
     assert diff <= 1e-8
 
 
+def test_on_sample_sees_the_history_samples():
+    """on_sample gets sample i of the interior fields at the history stride,
+    with or without the history stored."""
+    layers = pml.Layers(("east",), 5.0, d0=1.0)
+    mesh = build_mesh(0.0, 10.0, 0.0, 5.0, 5.0, 3, (ACOUSTIC,), R_CLOSED,
+                      layers=layers)
+    kw = dict(initial={"type": "gaussian-pulse", "center": (5.0, 2.5)},
+              history_stride=3)
+    for record_fields in (True, False):
+        samples = []
+        rec = run(mesh, SolverConfig(final_time=2.0), **kw,
+                  record_fields=record_fields,
+                  on_sample=lambda i, U: samples.append((i, U.copy())))
+        if record_fields:
+            history = rec.history
+        else:
+            assert rec.history is None
+    assert [i for i, _ in samples] == list(range(len(history)))
+    assert len(history) == len(rec.times[::3]) > 2
+    for (_, U), want in zip(samples, history):
+        assert np.array_equal(U, want)
+
+
 def test_auxiliary_fields_allocated_only_on_layer_elements():
     d0 = pml.damping_strength(1.484, 10.0, 1e-3)
     layers = pml.Layers(("east",), 10.0, d0=d0, alpha=0.15)
