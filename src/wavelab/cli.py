@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, diagnostics, solver
+from . import __version__, analysis, diagnostics
 from . import media as media_mod
 from . import pml as pml_mod
 from . import scenario as scenario_mod
@@ -172,8 +172,11 @@ def compare_abc(base_sc, out_dir=None):
     pml_rec = scenario_mod.run_scenario(pml_sc)
     abc_rec = scenario_mod.run_scenario(abc_sc)
     ref_mesh, ref_config = ref_sc.build()
-    diagnostics.check_lockstep((pml_rec, abc_rec), ref_mesh,
-                               time_grid(ref_config, ref_mesh)[0])
+    _, _, times, stride = time_grid(ref_config, ref_mesh,
+                                    ref_sc.history_stride)
+    times = times[::stride]  # the reference's sample times
+    diagnostics.check_lockstep((pml_rec, abc_rec), ref_mesh, times)
+    del ref_mesh  # run_scenario builds its own: hold one reference mesh
     rows = []
 
     def measure(i, U):  # the reference's sample i against the stored ones
@@ -182,10 +185,8 @@ def compare_abc(base_sc, out_dir=None):
                                             abc_rec.mesh))
 
     # the reference records no history: it is measured as it steps
-    solver.run(ref_mesh, ref_config, initial=ref_sc.initial,
-               divergence_factor=ref_sc.divergence_factor, on_sample=measure)
+    scenario_mod.run_scenario(ref_sc, on_sample=measure)
     # times increase, so the samples within the horizon are a prefix
-    times = pml_rec.history_times
     keep = int(np.searchsorted(times, horizon + 1e-12, side="right"))
     times, errors = times[:keep], np.array(rows)[:keep]
     pml_err = diagnostics.ErrorSeries(times, errors[:, 0], errors[:, 1])

@@ -54,17 +54,18 @@ def reference_validity_horizon(interior_box, reference_extents, c_max,
     return max(0.0, (2.0 * dist - element_size) / c_max)
 
 
-def check_lockstep(records, mesh, dt):
-    """Raise ValueError unless every record was stepped with ``dt`` and holds
-    a field history shaped like the ``mesh.interior`` elements, so that its
-    samples pair one for one with those of a run on ``mesh``."""
+def check_lockstep(records, mesh, times):
+    """Raise ValueError unless every record holds a field history shaped like
+    the ``mesh.interior`` elements and sampled at ``times`` (to 1e-9), so
+    that its samples pair one for one with those of a run on ``mesh``."""
     kx0, kx1, ly0, ly1 = mesh.interior
     shape = (kx1 - kx0, ly1 - ly0, mesh.m, mesh.n, mesh.n)
     for rec in records:
-        if rec.dt != dt:
-            raise ValueError(f"time steps differ: {rec.dt!r} vs {dt!r}")
         if rec.history is None or rec.history.shape[1:] != shape:
             raise ValueError(f"histories are not shaped {shape}")
+        if rec.history_times.shape != times.shape or not np.allclose(
+                rec.history_times, times, rtol=0, atol=1e-9):
+            raise ValueError("sample times do not line up")
 
 
 def pml_error(a, b, mesh):

@@ -360,8 +360,8 @@ def load(name_or_path):
     return parse_scenario(name_or_path)
 
 
-def run_scenario(scenario):
-    """Build and execute a scenario; returns the RunRecord."""
+def run_scenario(scenario, on_sample=None):
+    """Build and run a scenario (on_sample: see solver.run); the RunRecord."""
     from .solver import run
 
     mesh, config = scenario.build()
@@ -371,7 +371,8 @@ def run_scenario(scenario):
                snapshot_times=scenario.snapshot_times,
                record_fields=scenario.record_fields,
                history_stride=scenario.history_stride,
-               divergence_factor=scenario.divergence_factor)
+               divergence_factor=scenario.divergence_factor,
+               on_sample=on_sample)
 
 
 def with_overrides(scenario, **overrides):

@@ -155,12 +155,19 @@ def rk4_step(y, dt, f, stages):
     y += np.multiply(dt / 6.0, k1, out=k1)
 
 
-def time_grid(config, mesh):
-    """(dt, n_steps): final_time in the fewest equal steps of at most the
-    CFL step."""
+def time_grid(config, mesh, history_stride=None):
+    """(dt, n_steps, times, stride): final_time in the fewest equal steps of
+    at most the CFL step, the time of every step that ``run`` takes to the
+    stop time (step 0 included), and the steps between its field samples."""
     n_steps = max(1, int(np.ceil(config.final_time / timestep(config, mesh)
                                  - 1e-12)))
-    return config.final_time / n_steps, n_steps
+    dt = config.final_time / n_steps
+    stop = config.final_time if config.stop_time is None else config.stop_time
+    # steps taken: step k + 1 starts at k dt, which must lie before stop
+    n_run = next((k for k in range(n_steps) if k * dt >= stop - 1e-12),
+                 n_steps)
+    return (dt, n_steps, np.arange(n_run + 1) * dt,
+            history_stride or max(1, n_steps // 400))
 
 
 def advance(state, dt, mesh, config):
@@ -265,10 +272,9 @@ def run(mesh, config, initial=None, receivers=(), snapshot_times=(),
         on_sample=None):
     """Step the system to the final (or stop) time, recording diagnostics.
 
-    Every ``history_stride`` steps, the fields of the ``mesh.interior``
-    elements are sampled: stored in the history with ``record_fields``, and
-    passed as ``on_sample(i, U_interior)`` for sample i, a view of the state
-    that the next step overwrites.
+    Every ``history_stride`` steps, the ``mesh.interior`` fields are sampled:
+    stored in the history with ``record_fields``, and passed to ``on_sample(i,
+    U_interior)`` for sample i as a view that the next step overwrites.
 
     Raises UnstableRunError, carrying the record up to the last sampled
     step so growth histories remain available, if the state leaves the
@@ -279,19 +285,12 @@ def run(mesh, config, initial=None, receivers=(), snapshot_times=(),
              if isinstance(initial, SimState)
              else initial_state(mesh, initial))
     U = state.U
-    dt, n_steps = time_grid(config, mesh)
-    stop_time = config.stop_time if config.stop_time is not None \
-        else config.final_time
-    # steps taken: step k + 1 starts at k dt, which must lie before stop_time
-    n_run = next((k for k in range(n_steps) if k * dt >= stop_time - 1e-12),
-                 n_steps)
+    dt, n_steps, times, stride = time_grid(config, mesh, history_stride)
     stencils = _receiver_stencils(mesh, receivers)
     snap_steps = {}  # step -> every requested time that rounds to it
     for t in snapshot_times:
         snap_steps.setdefault(int(round(t / dt)), []).append(t)
 
-    # every series has one sample per step, step 0 included
-    times = np.arange(n_run + 1) * dt
     rec = RunRecord(
         times=times, linf=np.empty(times.size), energy=np.empty(times.size),
         dt=dt, n_steps=n_steps, final_state=state, mesh=mesh,
@@ -299,14 +298,13 @@ def run(mesh, config, initial=None, receivers=(), snapshot_times=(),
                          if stencils else None),
         linf_field="p" if mesh.acoustic else "vmag")
     kx0, kx1, ly0, ly1 = mesh.interior
-    stride = history_stride or max(1, n_steps // 400)
     if record_fields:
         rec.history_times = times[::stride]
         rec.history = np.empty((rec.history_times.size, kx1 - kx0, ly1 - ly0)
                                + U.shape[2:])
 
     failure = None
-    for step in range(n_run + 1):
+    for step in range(times.size):
         rec.linf[step] = linf = diagnostics.linf_norm(U, mesh)
         rec.energy[step] = diagnostics.discrete_energy(U, mesh)
         for i, (kx, ly, ex, ey) in enumerate(stencils):
@@ -315,15 +313,14 @@ def run(mesh, config, initial=None, receivers=(), snapshot_times=(),
         if step in snap_steps:
             rec.snapshots.update(dict.fromkeys(snap_steps[step], U.copy()))
         if (record_fields or on_sample) and step % stride == 0:
-            interior = U[kx0:kx1, ly0:ly1]
             if record_fields:
-                rec.history[step // stride] = interior
+                rec.history[step // stride] = U[kx0:kx1, ly0:ly1]
             if on_sample:
-                on_sample(step // stride, interior)
+                on_sample(step // stride, U[kx0:kx1, ly0:ly1])
         if step and linf > divergence_factor * rec.linf[0] > 0:
             failure = (f"L-infinity norm diverged ({linf:.3g} > "
                        f"{divergence_factor:g} x initial)")
-        if failure or step == n_run:
+        if failure or step == times.size - 1:
             break
         advance(state, dt, mesh, config)
         if not np.isfinite(U).all():  # a non-finite state is not sampled

@@ -127,22 +127,26 @@ def test_pml_error_requires_field_history():
     rec = _recorded_run()
     assert rec.history is None
     with pytest.raises(ValueError, match="not shaped"):
-        diagnostics.check_lockstep([rec], rec.mesh, rec.dt)
+        diagnostics.check_lockstep([rec], rec.mesh, rec.times)
 
 
 def test_check_lockstep_rejects_a_dt_or_shape_mismatch():
-    rec = _recorded_run(record_fields=True)
-    diagnostics.check_lockstep([rec, rec], rec.mesh, rec.dt)
-    with pytest.raises(ValueError, match="time steps differ"):
-        diagnostics.check_lockstep([rec], rec.mesh, 0.5 * rec.dt)
+    rec = _recorded_run(record_fields=True, history_stride=2)
+    times = rec.history_times
+    diagnostics.check_lockstep([rec, rec], rec.mesh, times)
+    # a dt off in its last bits, as from another mesh origin, lines up
+    diagnostics.check_lockstep([rec], rec.mesh, times * (1 + 1e-15))
+    for other in (0.5 * times, times[::2], rec.times, times[:-1]):
+        with pytest.raises(ValueError, match="sample times do not line up"):
+            diagnostics.check_lockstep([rec], rec.mesh, other)
     other = build_mesh(0.0, 15.0, 0.0, 10.0, 5.0, 3,
                        (media.preset("acoustic-484"),), R1)
     with pytest.raises(ValueError, match="not shaped"):
-        diagnostics.check_lockstep([rec], other, rec.dt)
+        diagnostics.check_lockstep([rec], other, times)
     finer = build_mesh(0.0, 10.0, 0.0, 10.0, 5.0, 4,
                        (media.preset("acoustic-484"),), R1)
     with pytest.raises(ValueError, match="not shaped"):
-        diagnostics.check_lockstep([rec], finer, rec.dt)
+        diagnostics.check_lockstep([rec], finer, times)
 
 
 def test_reference_validity_horizon():

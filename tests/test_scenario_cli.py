@@ -477,16 +477,27 @@ def test_compare_abc_reference_is_an_undamped_layer(tmp_path, monkeypatch):
          boundaries={"west": -1.0, "east": 0.0, "south": 1.0, "north": 1.0},
          final_time=30.0, initial={"type": "gaussian-pulse"},
          receivers=[], snapshot_times=[]),
-    ALL_SIDES_BASE], ids=["acoustic-east", "all-sides"])
+    ALL_SIDES_BASE,
+    dict(domain={"x": [-3.0, 3.0], "y": [0.0, 3.0]}, element_size=0.6,
+         degree=2, medium={"preset": "acoustic-484"},
+         pml={"sides": ["west", "south"], "width": 1.2}, history_stride=3,
+         final_time=3.0, initial={"type": "gaussian-pulse", "width_sq": 0.5},
+         receivers=[], snapshot_times=[])],
+    ids=["acoustic-east", "all-sides", "west-south-stride"])
 def test_compare_abc_series_equal_the_history_oracle(base, tmp_path,
                                                      monkeypatch):
     """The errors measured as the reference steps equal, bit for bit, the
-    batched differences of the recorded histories of the same three runs."""
+    batched differences of the recorded histories of the same three runs,
+    also with the base's own ``history_stride`` and an element size that
+    binary fractions do not hold exactly."""
     records = _captured_solver_runs(monkeypatch, record_fields=True)
     pml_err, abc_err, horizon = cli.compare_abc(
         scenario.from_dict(tiny_scenario_dict(**base)), tmp_path / "cmp")
     pml_rec, abc_rec, ref_rec = records
+    stride = base.get("history_stride")
     for got, rec in ((pml_err, pml_rec), (abc_err, abc_rec)):
+        assert stride is None or np.allclose(np.diff(rec.history_times),
+                                             stride * rec.dt)
         want = oracles.pml_error(rec, ref_rec, horizon)
         assert len(want.times) > 10
         for name in ("times", "linf", "l2"):
