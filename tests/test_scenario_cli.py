@@ -604,6 +604,17 @@ PROBES = {
         _set(["medium"], {"two": ["acoustic-484", "acoustic-484"],
                           "interface": {"axis": "x", "position": 0.0}}),
         _set(["initial"], {"type": "standing-mode"})), "initial.type"),
+    # the element layout: extents, then element size, then layer width,
+    # then interface; size 3 divides neither the extents nor the width 10
+    "domain-reversed": (_set(["domain", "x"], [50.0, -50.0]), "domain.x"),
+    "element-size-3": (_set(["element_size"], 3.0), "element_size"),
+    "pml-width-part-element": (_set(["pml", "width"], 7.5), "pml.width"),
+    "receiver-outside": (_set(["receivers"], [[500.0, 1.0]]),
+                         "receivers[0]"),
+    "interface-outside": (_set(["medium"], {
+        "two": ["acoustic-484", "acoustic-484"],
+        "interface": {"axis": "x", "position": 500.0}}),
+        "medium.interface.position"),
 }
 
 
