@@ -14,9 +14,11 @@ the five shipped presets, shortened, plus variants that no preset exercises:
 a PML on all four sides (corners included) with gamma != 1, theta below 1 on
 both axes, fractional reflection coefficients, snapshots and two receivers,
 for each medium preset; and two-media interfaces on x and on y with layers on
-east and north.  Two ``cli.compare_abc`` cases, the acoustic waveguide and
-the all-sides acoustic variant, run their PML, ABC and reference runs, which
-record field history, and hash their ``error_series.csv``.
+east and north, and on x with layers on west and south, which move the grid
+origin.  Two ``cli.compare_abc`` cases, the acoustic waveguide and the
+all-sides acoustic variant, hash their ``error_series.csv``.  Of their three
+runs, the PML and ABC runs record field history, and the reference run is
+measured against them as it steps.
 ``cli.write_analysis_artifacts`` scans each medium preset, the unstable
 ``aniso-violating`` included, on both axes at ``ANALYSIS_DIRECTIONS``
 directions, and its ``slowness.csv`` and ``stability_{x,y}.json`` are hashed
@@ -70,10 +72,13 @@ def scenarios():
                             ["west", "east", "south", "north"], gamma=1.5,
                             theta={"x": 0.5, "y": 0.25},
                             snapshot_times=[2.0, PRESET_TIME]))
-    for axis, position in (("x", 0.0), ("y", 10.0)):
+    for name, axis, position, sides in (
+            ("two-media-x", "x", 0.0, ["east", "north"]),
+            ("two-media-y", "y", 10.0, ["east", "north"]),
+            ("two-media-x-west-south", "x", 5.0, ["west", "south"])):
         medium = {"two": ["iso-table1", "am1-table1"],
                   "interface": {"axis": axis, "position": position}}
-        out.append(_variant(f"two-media-{axis}", medium, ["east", "north"],
+        out.append(_variant(name, medium, sides,
                             snapshot_times=[0.0, 3.0, PRESET_TIME]))
     return out
 

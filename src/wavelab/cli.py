@@ -246,7 +246,8 @@ def _build_parser():
     p_run.add_argument("--theta-x", type=float, default=None)
     p_run.add_argument("--theta-y", type=float, default=None)
     p_run.add_argument("--tol", type=float, default=None,
-                       help="PML relative-error design tolerance")
+                       help="PML echo of a wall behind the layer at normal "
+                       "incidence when alpha = 0; more below about alpha")
     p_run.add_argument("--degree", type=int, default=None)
     p_run.add_argument("--cfl", type=float, default=None)
     p_run.add_argument("--final-time", type=float, default=None)

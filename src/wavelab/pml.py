@@ -52,11 +52,11 @@ class Layers:
                              f"got {self.sides!r}")
         if not self.width > 0:
             raise ValueError(f"layer width must be positive, got {self.width}")
-        if self.d0 < 0 or self.alpha < 0:
-            raise ValueError("d0 and alpha must be nonnegative")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.exponent < 1:
+        if not (0 <= self.d0 < np.inf and 0 <= self.alpha < np.inf):
+            raise ValueError("d0 and alpha must be finite and nonnegative")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must lie in (0, inf), got {self.gamma}")
+        if not self.exponent >= 1:
             raise ValueError(f"exponent must be >= 1, got {self.exponent}")
 
     def extents(self, box):

@@ -20,7 +20,7 @@ from . import pml as pml_mod
 from .errors import ConfigurationError, InvalidMediumError
 from .operators import MAX_DEGREE
 from .solver import SolverConfig, build_mesh, timestep_formula
-from .solver.mesh import element_count, interface_on_edge
+from .solver.mesh import layout
 
 SCHEMA_VERSION = 1
 
@@ -263,17 +263,11 @@ def from_dict(data):
         path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
                        for k in reversed(exc.path))[1:] or "scenario"
         raise ConfigurationError(f"{path}: {exc}") from None
-    size = v["element_size"]
-    for axis, (lo, hi) in v["domain"].items():
-        if not hi > lo:
-            raise ConfigurationError(f"domain.{axis}: must be increasing")
-        if not element_count(hi - lo, size):
-            raise ConfigurationError(f"element_size: {size} does not divide "
-                                     f"the {axis} extent {hi - lo}")
-    pml = v["pml"] = SimpleNamespace(**v["pml"])
-    if pml.sides and not element_count(pml.width, size):
-        raise ConfigurationError(f"pml.width: {pml.width} does not span an "
-                                 f"integer number of size-{size} elements")
+    size, pml = v["element_size"], SimpleNamespace(**v["pml"])
+    v["pml"], v["domain"] = pml, (*v["domain"]["x"], *v["domain"]["y"])
+    v["media"], v["interface"] = v.pop("medium")
+    mx0, mx1, my0, my1 = layout(v["domain"], size, pml_mod.Layers(
+        pml.sides, pml.width), v["interface"])[2]
     if v["stop_time"] is not None and v["stop_time"] > v["final_time"]:
         raise ConfigurationError("stop_time: must lie in (0, final_time]")
     labels = {}  # snapshot file label -> index of the time that first has it
@@ -288,8 +282,7 @@ def from_dict(data):
                 f"snapshot_times[{i}]: {t!r} writes snapshot_t{t:g}.csv, "
                 f"the file of snapshot_times[{j}]")
 
-    domain, theta, _ = v.pop("domain"), v.pop("theta"), v.pop("schema")
-    v["media"], v["interface"] = v.pop("medium")
+    theta, _ = v.pop("theta"), v.pop("schema")
     try:
         c_p_max = media_mod.max_wave_speed(v["media"])
     except InvalidMediumError as exc:
@@ -298,11 +291,8 @@ def from_dict(data):
             v["interface"] or not media_mod.is_acoustic(v["media"][0])):
         raise ConfigurationError("initial.type: standing-mode is exact only "
                                  "for one uniform acoustic medium")
-    sc = Scenario(**v, domain=(*domain["x"], *domain["y"]), raw=data,
-                  theta_x=theta["x"], theta_y=theta["y"], c_p_max=c_p_max)
-
-    mx0, mx1, my0, my1 = pml_mod.Layers(pml.sides, pml.width).extents(
-        sc.domain)
+    sc = Scenario(**v, raw=data, theta_x=theta["x"], theta_y=theta["y"],
+                  c_p_max=c_p_max)
     # floats, so a huge count compares (as inf at worst) instead of raising
     fields = 3 if media_mod.is_acoustic(sc.media[0]) else 5
     unknowns = ((mx1 - mx0) / size) * ((my1 - my0) / size) * fields * (
@@ -321,11 +311,6 @@ def from_dict(data):
         if not (mx0 <= rx <= mx1 and my0 <= ry <= my1):
             raise ConfigurationError(
                 f"receivers[{i}]: ({rx}, {ry}) is outside the mesh")
-    if sc.interface and not interface_on_edge(
-            sc.interface, (mx0, mx1, my0, my1), size):
-        raise ConfigurationError(f"medium.interface.position: "
-                                 f"{sc.interface[1]} is not on an element "
-                                 "edge")
     return sc
 
 

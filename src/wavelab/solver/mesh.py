@@ -20,13 +20,38 @@ def element_count(span, size):
     return n if abs(ratio - n) <= 1e-9 * max(1.0, abs(ratio)) else None
 
 
-def interface_on_edge(interface, extents, size):
-    """Whether ``interface`` (axis, position) has axis "x" or "y" and lies on
-    an edge of the size-``size`` elements tiling ``extents`` from x0, y0."""
-    axis, position = interface
-    lo, hi = extents[:2] if axis == "x" else extents[2:]
-    return axis in ("x", "y") and lo <= position <= hi and element_count(
-        position - lo, size) is not None
+def layout(box, element_size, layers, interface=None):
+    """The squares of side ``element_size`` tiling ``box`` (x0, x1, y0, y1)
+    grown by ``layers``, as counts (K, L, extents of the grown box, interior
+    element range).  Each extent must increase and span whole elements, and
+    so must the layer width; an ``interface`` (axis, position) must lie on an
+    x or y element edge.  The first rule broken, in that order, raises
+    ConfigurationError naming its scenario key."""
+    counts = []
+    for axis, lo, hi in (("x", *box[:2]), ("y", *box[2:])):
+        if not hi > lo:
+            raise ConfigurationError(f"domain.{axis}: must be increasing, "
+                                     f"got the {axis} extent {lo} to {hi}")
+        counts.append(element_count(hi - lo, element_size))
+        if not counts[-1]:
+            raise ConfigurationError(f"element_size: {element_size} does not "
+                                     f"divide the {axis} extent {hi - lo}")
+    width = element_count(layers.width, element_size)
+    if layers.sides and not width:
+        raise ConfigurationError(f"pml.width: layer width {layers.width} "
+                                 f"is not a multiple of {element_size}")
+    w, e, s, n = (width if side in layers.sides else 0 for side in SIDES)
+    K, L = w + counts[0] + e, s + counts[1] + n
+    extents = layers.extents(box)
+    if interface is not None:
+        axis, position = interface
+        lo, hi = extents[:2] if axis == "x" else extents[2:]
+        if not (axis in ("x", "y") and lo <= position <= hi and element_count(
+                position - lo, element_size) is not None):
+            raise ConfigurationError(
+                f"medium.interface.position: {axis} = {position} is not on "
+                "an x or y element edge")
+    return K, L, extents, (w, K - e, s, L - n)
 
 
 class Mesh:
@@ -52,10 +77,9 @@ class Mesh:
         self.boundary_r = dict(boundary_r)
         for side in SIDES:
             r = self.boundary_r.get(side)
-            if r is None or abs(r) > 1.0:
+            if r is None or not abs(r) <= 1.0:
                 raise ConfigurationError(
-                    f"boundary reflection coefficient for {side!r} must be "
-                    f"in [-1, 1], got {r}")
+                    f"boundaries.{side}: must lie in [-1, 1], got {r}")
         self.interior_box, self.interior = tuple(interior_box), interior
 
         self.dx = np.diff(self.x_edges)
@@ -90,9 +114,6 @@ class Mesh:
     def _install_media(self, media, index):
         self.media, self.index = tuple(media), index
         self.acoustic = is_acoustic(self.media[0])
-        if any(is_acoustic(med) != self.acoustic for med in self.media):
-            raise ConfigurationError(
-                "piecewise media must share the same system type")
         cms = [med.coefficient_matrices() for med in self.media]
         self.m = cms[0].m
         self.fields = cms[0].fields
@@ -190,28 +211,20 @@ class Mesh:
 def build_mesh(x0, x1, y0, y1, element_size, degree, media, boundary_r,
                layers=Layers(), interface=None):
     """Tile the interior box [x0,x1] x [y0,y1], grown by ``layers``, with
-    square elements; the box's extents and the layer width must each span a
-    whole number of them.
+    square elements laid out by ``layout``.
 
-    ``media`` holds one medium, or two split at ``interface`` (axis "x" or
-    "y", position on an element edge): an element whose center lies at or
-    beyond the position holds ``media[1]``, the others ``media[0]``.
+    ``media`` holds one medium, or two of one system split at ``interface``
+    (axis "x" or "y", position on an element edge): an element whose center
+    lies at or beyond the position holds ``media[1]``, the others
+    ``media[0]``.  Each error names the scenario key of its rule.
     """
-    if len(media) != (1 if interface is None else 2):
-        raise ConfigurationError("give one medium, or two and an interface")
-    width = element_count(layers.width, element_size)
-    if layers.sides and width is None:
-        raise ConfigurationError(f"layer width {layers.width} does not span "
-                                 f"whole size-{element_size} elements")
-    w, e, s, n = (width if side in layers.sides else 0 for side in SIDES)
-    nx = element_count(x1 - x0, element_size)
-    ny = element_count(y1 - y0, element_size)
-    for what, span, count in (("x", x1 - x0, nx), ("y", y1 - y0, ny)):
-        if count is None or count < 1:
-            raise ConfigurationError(f"element size {element_size} does not "
-                                     f"divide the {what} extent {span}")
-    K, L = w + nx + e, s + ny + n
-    mx0, mx1, my0, my1 = layers.extents((x0, x1, y0, y1))
+    if len(media) != (1 if interface is None else 2) or len(
+            {is_acoustic(med) for med in media}) > 1:
+        raise ConfigurationError("medium: give one medium, or two of one "
+                                 "system (acoustic or elastic) and an "
+                                 "interface")
+    K, L, (mx0, mx1, my0, my1), interior = layout(
+        (x0, x1, y0, y1), element_size, layers, interface)
     x_edges = mx0 + element_size * np.arange(K + 1)
     y_edges = my0 + element_size * np.arange(L + 1)
     # exact tiling of the stated extents
@@ -219,12 +232,8 @@ def build_mesh(x0, x1, y0, y1, element_size, degree, media, boundary_r,
     y_edges[-1] = my1
     index = np.zeros((K, L), dtype=int)
     if interface is not None:
-        if not interface_on_edge(interface, (mx0, mx1, my0, my1),
-                                 element_size):
-            raise ConfigurationError(
-                f"interface {interface} is not on an x or y element edge")
         axis, position = interface
         edges = x_edges[:, None] if axis == "x" else y_edges
         index[:] = 0.5 * (edges[:-1] + edges[1:]) >= position
     return Mesh(x_edges, y_edges, degree, media, index, boundary_r, layers,
-                (x0, x1, y0, y1), (w, K - e, s, L - n))
+                (x0, x1, y0, y1), interior)

@@ -123,16 +123,13 @@ def test_stretching_metric_pole():
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError):
-        make_layers(width=0.0)
-    with pytest.raises(ValueError):
-        make_layers(d0=-1.0)
-    with pytest.raises(ValueError):
-        make_layers(gamma=0.0)
-    with pytest.raises(ValueError):
-        make_layers(sides=("east", "east"))
-    with pytest.raises(ValueError):
-        make_layers(sides=("middle",))
+    # d0, alpha and gamma must be finite, and NaN fails every check
+    for bad in (dict(width=0.0), dict(d0=-1.0), dict(gamma=0.0),
+                dict(sides=("east", "east")), dict(sides=("middle",)),
+                dict(d0=np.inf), dict(d0=np.nan), dict(alpha=np.inf),
+                dict(alpha=np.nan), dict(exponent=np.nan), dict(gamma=np.inf)):
+        with pytest.raises(ValueError):
+            make_layers(**bad)
 
 
 def test_layers_grow_the_box_on_their_sides_only():

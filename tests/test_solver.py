@@ -32,7 +32,8 @@ def test_mesh_rejects_a_wave_speed_that_is_not_finite():
 def test_mesh_rejects_a_layer_of_part_elements():
     # the grown x extent, 15, is three whole elements
     layers = pml.Layers(("west", "east"), 2.5)
-    with pytest.raises(ConfigurationError, match="layer width 2.5"):
+    with pytest.raises(ConfigurationError,
+                       match=r"^pml\.width: layer width 2\.5"):
         build_mesh(0.0, 10.0, 0.0, 10.0, 5.0, 2, (ACOUSTIC,), R_CLOSED,
                    layers=layers)
 
@@ -41,24 +42,34 @@ def test_mesh_rejects_a_layer_of_part_elements():
 def test_mesh_rejects_a_box_that_is_not_increasing(x0, x1):
     # with the layers, the grown extent of (0, 0) is two whole elements
     layers = pml.Layers(("west", "east"), 5.0)
-    with pytest.raises(ConfigurationError, match="x extent"):
+    with pytest.raises(ConfigurationError, match=r"^domain\.x: .*x extent"):
         build_mesh(x0, x1, 0.0, 10.0, 5.0, 2, (ACOUSTIC,), R_CLOSED,
                    layers=layers)
 
 
 @pytest.mark.parametrize("media_, interface", [
-    ((ACOUSTIC, ACOUSTIC), None), ((ACOUSTIC,), ("x", 5.0)), ((), None)])
+    ((ACOUSTIC, ACOUSTIC), None), ((ACOUSTIC,), ("x", 5.0)), ((), None),
+    ((ACOUSTIC, ISO), ("x", 5.0))])
 def test_mesh_takes_one_medium_or_two_and_an_interface(media_, interface):
-    with pytest.raises(ConfigurationError, match="one medium, or two"):
+    with pytest.raises(ConfigurationError,
+                       match="^medium: .*one medium, or two"):
         build_mesh(0.0, 10.0, 0.0, 10.0, 5.0, 2, media_, R_CLOSED,
                    interface=interface)
+
+
+@pytest.mark.parametrize("r", [1.5, np.nan])
+def test_mesh_rejects_a_reflection_coefficient_outside_minus_one_to_one(r):
+    with pytest.raises(ConfigurationError, match=r"^boundaries\.east: "):
+        build_mesh(0.0, 10.0, 0.0, 10.0, 5.0, 2, (ACOUSTIC,),
+                   {**R_CLOSED, "east": r})
 
 
 @pytest.mark.parametrize("interface", [("z", 5.0), ("x", 2.5), ("x", 50.0)],
                          ids=["axis-z", "between-edges", "outside"])
 def test_mesh_rejects_an_interface_off_its_element_edges(interface):
     other = media.AcousticMedium(rho=3.0, kappa=2.0)
-    with pytest.raises(ConfigurationError, match="not on an x or y element"):
+    with pytest.raises(ConfigurationError, match=r"^medium\.interface\."
+                       r"position: .*not on an x or y element"):
         build_mesh(0.0, 10.0, 0.0, 10.0, 5.0, 2, (ACOUSTIC, other), R_CLOSED,
                    interface=interface)
 
