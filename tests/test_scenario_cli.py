@@ -616,6 +616,17 @@ PROBES = {
         "two": ["acoustic-484", "acoustic-484"],
         "interface": {"axis": "x", "position": 500.0}}),
         "medium.interface.position"),
+    # the ranges of the solver's parameters and of the layer's
+    "theta-y-above-one": (_set(["theta", "y"], 1.5), "theta.y"),
+    "cfl-zero": (_set(["cfl"], 0.0), "cfl"),
+    "final-time-zero": (_set(["final_time"], 0.0), "final_time"),
+    "stop-time-past-final": (_set(["stop_time"], 300.0), "stop_time"),
+    "pml-alpha-negative": (_set(["pml", "alpha"], -1.0), "pml.alpha"),
+    "pml-gamma-zero": (_set(["pml", "gamma"], 0.0), "pml.gamma"),
+    "pml-d0-negative": (_set(["pml", "d0"], -1.0), "pml.d0"),
+    "pml-exponent-zero": (_set(["pml", "exponent"], 0), "pml.exponent"),
+    "boundaries-east-1.5": (_set(["boundaries", "east"], 1.5),
+                            "boundaries.east"),
 }
 
 
