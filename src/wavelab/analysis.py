@@ -133,6 +133,8 @@ def slowness_scan(medium, n_directions=720):
     vectors k (n, 2) and ``branches`` at k: omega (n, b) and V_g (n, b, 2).
     A branch's slowness vector is k / omega, its phase velocity omega / k.
     """
+    if n_directions < MIN_DIRECTIONS:
+        raise ValueError(f"need at least {MIN_DIRECTIONS}, got {n_directions}")
     angles = 2.0 * np.pi * (np.arange(n_directions) + _GRID_OFFSET) \
         / n_directions
     k = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
@@ -145,8 +147,6 @@ def geometric_stability_check(medium, axis, n_directions=720):
     The medium is geometrically stable along ``axis`` when the product is
     nonnegative (within TOL_GSC) at every sampled point of every branch.
     """
-    if n_directions < MIN_DIRECTIONS:
-        raise ValueError(f"need at least {MIN_DIRECTIONS} directions")
     ax = {"x": 0, "y": 1}[axis]
     angles, k, omega, V_g = slowness_scan(medium, n_directions)
     products = (omega / k[:, ax, None] * V_g[..., ax]).T

@@ -10,13 +10,13 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, analysis, diagnostics
 from . import media as media_mod
-from . import pml as pml_mod
 from . import scenario as scenario_mod
 from .errors import (ConfigurationError, InvalidMediumError,
                      NumericalFailureError, UnstableRunError)
@@ -109,14 +109,13 @@ def write_analysis_artifacts(medium_name, axis="x", n_directions=720,
     if axis not in ("x", "y", "both"):
         raise ConfigurationError(
             f"--axis: must be 'x', 'y' or 'both', got {axis!r}")
-    if n_directions < analysis.MIN_DIRECTIONS:
-        raise ConfigurationError(
-            f"--directions: need at least {analysis.MIN_DIRECTIONS}, "
-            f"got {n_directions}")
     medium = _resolve_medium(medium_name)
+    try:  # before anything is written
+        _, k, omega, V_g = analysis.slowness_scan(medium, n_directions)
+    except ValueError as exc:
+        raise ConfigurationError(f"--directions: {exc}") from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, k, omega, V_g = analysis.slowness_scan(medium, n_directions)
     keep = ~np.isnan(V_g[..., 0])
     branch = np.broadcast_to(np.arange(omega.shape[1]), omega.shape)
     angle = np.broadcast_to(np.arctan2(k[:, 1:], k[:, :1]), omega.shape)
@@ -156,7 +155,7 @@ def compare_abc(base_sc, out_dir=None):
     x0, x1, _, _ = base_sc.domain
     horizon = diagnostics.reference_validity_horizon(
         base_sc.domain,
-        pml_mod.Layers(base_sc.pml.sides, x1 - x0).extents(base_sc.domain),
+        replace(base_sc.layers, width=x1 - x0).extents(base_sc.domain),
         base_sc.c_p_max, base_sc.element_size)
     # the error series ends at the horizon, so no run steps past it
     common = {"snapshot_times": [], "stop_time": min(

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and one range check."""
 
 
 class WavelabError(Exception):
@@ -21,8 +21,18 @@ class NumericalFailureError(WavelabError):
         self.residuals = residuals
 
 
-class ConfigurationError(WavelabError):
+class ConfigurationError(WavelabError, ValueError):
     """A scenario file or override violates the configuration schema."""
+
+
+def require(key, value, interval):
+    """Raise ConfigurationError naming the scenario ``key`` unless ``value``
+    lies in ``interval``, such as "(0, 1]"; NaN lies in none."""
+    lo, hi = (float(b) for b in interval[1:-1].split(","))
+    if not ((lo < value if interval[0] == "(" else lo <= value)
+            and (value < hi if interval[-1] == ")" else value <= hi)):
+        raise ConfigurationError(
+            f"{key}: must lie in {interval}, got {value!r}")
 
 
 class UnstableRunError(WavelabError):

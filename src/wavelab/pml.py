@@ -4,6 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError, require
+
 DEFAULT_ALPHA = 0.15
 DEFAULT_TOL = 1e-3
 DEFAULT_EXPONENT = 3
@@ -36,7 +38,7 @@ class Layers:
     Both meet their interior values 0 and 1 at the box's edge, for the
     default cubic exponent with two vanishing derivatives, so the layer is
     perfectly matched.  With d0 = 0 and gamma = 1 a layer is the undamped
-    wave system.  ``Layers()`` has no sides.
+    wave system.  ``Layers()`` has no sides.  Errors name ``pml.<field>``.
     """
 
     sides: tuple = ()
@@ -47,17 +49,15 @@ class Layers:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if len(set(self.sides) & set(SIDES)) != len(self.sides):
-            raise ValueError(f"sides must be distinct names from {SIDES}, "
-                             f"got {self.sides!r}")
-        if not self.width > 0:
-            raise ValueError(f"layer width must be positive, got {self.width}")
-        if not (0 <= self.d0 < np.inf and 0 <= self.alpha < np.inf):
-            raise ValueError("d0 and alpha must be finite and nonnegative")
-        if not 0 < self.gamma < np.inf:
-            raise ValueError(f"gamma must lie in (0, inf), got {self.gamma}")
-        if not self.exponent >= 1:
-            raise ValueError(f"exponent must be >= 1, got {self.exponent}")
+        for i, side in enumerate(self.sides):
+            if side not in SIDES or side in self.sides[:i]:
+                raise ConfigurationError(f"pml.sides[{i}]: " + (
+                    f"repeats {side!r}" if side in SIDES else "must be one "
+                    f"of {', '.join(map(repr, SIDES))}, got {side!r}"))
+        for key, interval in (("width", "(0, inf)"), ("d0", "[0, inf)"),
+                              ("exponent", "[1, inf)"), ("alpha", "[0, inf)"),
+                              ("gamma", "(0, inf)")):
+            require(f"pml.{key}", getattr(self, key), interval)
 
     def extents(self, box):
         """The box (x0, x1, y0, y1) grown by ``width`` on each layer side."""

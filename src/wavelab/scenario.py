@@ -3,14 +3,14 @@
 A scenario pins the interior domain box, element size, degree, media, PML
 layers, stabilization weights, boundary reflection coefficients and the run
 protocol; the mesh extends beyond the box by the layer width on each PML
-side.  ``SCHEMA`` has one row per key: its kind, which carries its range,
-and its default.  ``from_dict`` reads a scenario through it in one walk that
-checks and resolves each value, then checks the rules that relate keys.
+side.  ``SCHEMA`` has one row per key: its kind (its type, and a range that
+no solver object owns) and its default.  ``from_dict`` reads a scenario in
+one walk, builds the solver's objects and checks the rules relating keys.
 """
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from importlib import resources
 from numbers import Integral, Real
 from types import SimpleNamespace
@@ -20,7 +20,7 @@ from . import pml as pml_mod
 from .errors import ConfigurationError, InvalidMediumError
 from .operators import MAX_DEGREE
 from .solver import SolverConfig, build_mesh, timestep_formula
-from .solver.mesh import layout
+from .solver.mesh import layout, reflection_coefficients
 
 SCHEMA_VERSION = 1
 
@@ -82,7 +82,7 @@ def one_of(*choices):
     return read
 
 
-def list_of(item, length=None, unique=False):
+def list_of(item, length=None):
     """A list of ``item`` values, read to a tuple."""
     def read(value):
         if not isinstance(value, (list, tuple)) or (
@@ -92,10 +92,7 @@ def list_of(item, length=None, unique=False):
         out = []
         try:
             for v in value:
-                v = item(v)
-                if unique and v in out:
-                    raise Invalid(f"repeats {v!r}")
-                out.append(v)
+                out.append(item(v))
         except Invalid as exc:
             exc.path.append(len(out))
             raise
@@ -184,7 +181,6 @@ def media(value):
 _RANGE = list_of(number(), length=2)
 _POSITIVE = number("(0, inf)")
 _COUNT = number("[1, inf)", whole=True)
-_UNIT = number("[0, 1]")
 _STRING = of_type(str, "a string")
 
 SCHEMA = obj({
@@ -196,20 +192,19 @@ SCHEMA = obj({
     "degree": (number(f"[1, {MAX_DEGREE}]", whole=True), REQUIRED),
     "medium": (media, REQUIRED),
     "pml": (obj({
-        "sides": (list_of(one_of(*pml_mod.SIDES), unique=True), ()),
-        "width": (_POSITIVE, pml_mod.DEFAULT_WIDTH),
+        "sides": (list_of(_STRING), ()),
+        "width": (number(), pml_mod.DEFAULT_WIDTH),
         "tol": (number("(0, 1]"), pml_mod.DEFAULT_TOL),
-        "alpha": (number("[0, inf)"), pml_mod.DEFAULT_ALPHA),
-        "gamma": (_POSITIVE, 1.0),
-        "exponent": (_COUNT, pml_mod.DEFAULT_EXPONENT),
-        "d0": (number("[0, inf)"), None),  # overrides the tol-derived d0
+        "alpha": (number(), pml_mod.DEFAULT_ALPHA),
+        "gamma": (number(), 1.0),
+        "exponent": (number(whole=True), pml_mod.DEFAULT_EXPONENT),
+        "d0": (number(), None),  # overrides the tol-derived d0
     }), {}),
-    "theta": (obj({"x": (_UNIT, 1.0), "y": (_UNIT, 1.0)}), {}),
-    "boundaries": (obj({s: (number("[-1, 1]"), 0.0)
-                        for s in pml_mod.SIDES}), {}),
-    "cfl": (number("(0, 1]"), 0.9),
-    "final_time": (_POSITIVE, 1.0),
-    "stop_time": (_POSITIVE, None),  # at most final_time
+    "theta": (obj({"x": (number(), 1.0), "y": (number(), 1.0)}), {}),
+    "boundaries": (obj({s: (number(), 0.0) for s in pml_mod.SIDES}), {}),
+    "cfl": (number(), 0.9),
+    "final_time": (number(), 1.0),
+    "stop_time": (number(), None),
     "initial": (obj({
         "type": (one_of("gaussian-pulse", "standing-mode", "zero"),
                  "gaussian-pulse"),
@@ -231,24 +226,13 @@ class Scenario(SimpleNamespace):
     """The keys of ``SCHEMA``, resolved, as attributes; but ``domain`` is
     (x0, x1, y0, y1), ``medium`` is ``media`` (one or two) and ``interface``
     ((axis, position) or None), and ``theta`` is ``theta_x``, ``theta_y``;
-    ``c_p_max`` is the largest c_p of the media, worked out once."""
-
-    def layers(self):
-        pml, d0 = self.pml, self.pml.d0
-        if d0 is None:
-            d0 = (pml_mod.damping_strength(self.c_p_max, pml.width, pml.tol)
-                  if pml.sides else 0.0)
-        return pml_mod.Layers(pml.sides, pml.width, d0, pml.exponent,
-                              pml.alpha, pml.gamma)
+    ``c_p_max`` (of the media), ``layers`` and ``config`` are built once."""
 
     def build(self):
         """Returns (mesh, solver config) ready for solver.run."""
-        mesh = build_mesh(*self.domain, self.element_size, self.degree,
-                          self.media, self.boundaries,
-                          layers=self.layers(), interface=self.interface)
-        return mesh, SolverConfig(
-            theta_x=self.theta_x, theta_y=self.theta_y, cfl=self.cfl,
-            final_time=self.final_time, stop_time=self.stop_time)
+        return build_mesh(*self.domain, self.element_size, self.degree,
+                          self.media, self.boundaries, layers=self.layers,
+                          interface=self.interface), self.config
 
     def canonical_dict(self):
         return dict(self.raw)
@@ -266,10 +250,20 @@ def from_dict(data):
     size, pml = v["element_size"], SimpleNamespace(**v["pml"])
     v["pml"], v["domain"] = pml, (*v["domain"]["x"], *v["domain"]["y"])
     v["media"], v["interface"] = v.pop("medium")
-    mx0, mx1, my0, my1 = layout(v["domain"], size, pml_mod.Layers(
-        pml.sides, pml.width), v["interface"])[2]
-    if v["stop_time"] is not None and v["stop_time"] > v["final_time"]:
-        raise ConfigurationError("stop_time: must lie in (0, final_time]")
+    theta, _ = v.pop("theta"), v.pop("schema")
+    try:
+        c_p_max = media_mod.max_wave_speed(v["media"])
+    except InvalidMediumError as exc:
+        raise ConfigurationError(f"medium: {exc}") from None
+    layers = pml_mod.Layers(pml.sides, pml.width, pml.d0 or 0.0,
+                            pml.exponent, pml.alpha, pml.gamma)
+    mx0, mx1, my0, my1 = layout(v["domain"], size, layers, v["interface"])[2]
+    if layers.sides and pml.d0 is None:  # damping_strength is public
+        layers = replace(layers, d0=pml_mod.damping_strength(
+            c_p_max, layers.width, pml.tol))
+    config = SolverConfig(theta["x"], theta["y"], v["cfl"], v["final_time"],
+                          v["stop_time"])
+    v["boundaries"] = reflection_coefficients(v["boundaries"])
     labels = {}  # snapshot file label -> index of the time that first has it
     end = "final_time" if v["stop_time"] is None else "stop_time"
     for i, t in enumerate(v["snapshot_times"]):
@@ -281,18 +275,12 @@ def from_dict(data):
             raise ConfigurationError(
                 f"snapshot_times[{i}]: {t!r} writes snapshot_t{t:g}.csv, "
                 f"the file of snapshot_times[{j}]")
-
-    theta, _ = v.pop("theta"), v.pop("schema")
-    try:
-        c_p_max = media_mod.max_wave_speed(v["media"])
-    except InvalidMediumError as exc:
-        raise ConfigurationError(f"medium: {exc}") from None
     if v["initial"]["type"] == "standing-mode" and (
             v["interface"] or not media_mod.is_acoustic(v["media"][0])):
         raise ConfigurationError("initial.type: standing-mode is exact only "
                                  "for one uniform acoustic medium")
     sc = Scenario(**v, raw=data, theta_x=theta["x"], theta_y=theta["y"],
-                  c_p_max=c_p_max)
+                  c_p_max=c_p_max, layers=layers, config=config)
     # floats, so a huge count compares (as inf at worst) instead of raising
     fields = 3 if media_mod.is_acoustic(sc.media[0]) else 5
     unknowns = ((mx1 - mx0) / size) * ((my1 - my0) / size) * fields * (

@@ -17,24 +17,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import diagnostics
-from ..errors import UnstableRunError
+from ..errors import UnstableRunError, require
 from ..operators import lagrange_eval
 from . import fluxes
 
 
 @dataclass
 class SolverConfig:
+    """Each value out of range raises ConfigurationError naming its key."""
     theta_x: float = 1.0
     theta_y: float = 1.0
     cfl: float = 0.9
-    final_time: float = 0.0
+    final_time: float = 1.0
     stop_time: float | None = None
 
     def __post_init__(self):
-        if not (0.0 <= self.theta_x <= 1.0 and 0.0 <= self.theta_y <= 1.0):
-            raise ValueError("theta must lie in [0, 1]")
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValueError("CFL must lie in (0, 1]")
+        stop = self.final_time if self.stop_time is None else self.stop_time
+        for key, value, interval in (
+                ("theta.x", self.theta_x, "[0, 1]"),
+                ("theta.y", self.theta_y, "[0, 1]"),
+                ("cfl", self.cfl, "(0, 1]"),
+                ("final_time", self.final_time, "(0, inf)"),
+                ("stop_time", stop, f"(0, {self.final_time}]")):
+            require(key, value, interval)
 
 
 def _block_shapes(mesh):
@@ -198,7 +203,8 @@ def standing_mode(mesh, nx=1, ny=1, t=0.0):
     p = sin(kx (x - x0)) sin(ky (y - y0)) cos(w t),
     v_xi = -(k_xi / (rho w)) cos/sin ... sin(w t); returns nodal U.
     """
-    assert mesh.acoustic
+    if not (mesh.acoustic and len(mesh.media) == 1):
+        raise ValueError("the standing mode needs one acoustic medium")
     med = mesh.media[0]
     rho, c = med.rho, med.c
     x0, x1, y0, y1 = mesh.extents

@@ -5,7 +5,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, require
 from ..media import is_acoustic, max_wave_speed
 from ..operators import ReferenceElement1D
 from ..pml import SIDES, Layers
@@ -54,6 +54,13 @@ def layout(box, element_size, layers, interface=None):
     return K, L, extents, (w, K - e, s, L - n)
 
 
+def reflection_coefficients(boundary_r):
+    """side -> wall reflection coefficient r, as a dict; each in [-1, 1]."""
+    for side in SIDES:
+        require(f"boundaries.{side}", boundary_r[side], "[-1, 1]")
+    return dict(boundary_r)
+
+
 class Mesh:
     """K x L grid of affine elements holding media, face pairs and damping.
 
@@ -74,12 +81,7 @@ class Mesh:
         self.ref = ReferenceElement1D(degree)
         self.N = degree
         self.n = degree + 1
-        self.boundary_r = dict(boundary_r)
-        for side in SIDES:
-            r = self.boundary_r.get(side)
-            if r is None or not abs(r) <= 1.0:
-                raise ConfigurationError(
-                    f"boundaries.{side}: must lie in [-1, 1], got {r}")
+        self.boundary_r = reflection_coefficients(boundary_r)
         self.interior_box, self.interior = tuple(interior_box), interior
 
         self.dx = np.diff(self.x_edges)

@@ -123,13 +123,19 @@ def test_stretching_metric_pole():
 
 
 def test_profile_validation():
-    # d0, alpha and gamma must be finite, and NaN fails every check
-    for bad in (dict(width=0.0), dict(d0=-1.0), dict(gamma=0.0),
-                dict(sides=("east", "east")), dict(sides=("middle",)),
-                dict(d0=np.inf), dict(d0=np.nan), dict(alpha=np.inf),
-                dict(alpha=np.nan), dict(exponent=np.nan), dict(gamma=np.inf)):
-        with pytest.raises(ValueError):
+    # each value out of range, NaN included, is named by its scenario key
+    for bad, key in ((dict(width=0.0), "width"), (dict(d0=-1.0), "d0"),
+                     (dict(gamma=0.0), "gamma"),
+                     (dict(sides=("east", "east")), "sides[1]"),
+                     (dict(sides=("middle",)), "sides[0]"),
+                     (dict(d0=np.inf), "d0"), (dict(d0=np.nan), "d0"),
+                     (dict(alpha=np.inf), "alpha"),
+                     (dict(alpha=np.nan), "alpha"),
+                     (dict(exponent=np.nan), "exponent"),
+                     (dict(gamma=np.inf), "gamma")):
+        with pytest.raises(ValueError) as info:
             make_layers(**bad)
+        assert str(info.value).startswith(f"pml.{key}: ")
 
 
 def test_layers_grow_the_box_on_their_sides_only():

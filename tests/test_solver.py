@@ -64,6 +64,22 @@ def test_mesh_rejects_a_reflection_coefficient_outside_minus_one_to_one(r):
                    {**R_CLOSED, "east": r})
 
 
+@pytest.mark.parametrize("times, key", [
+    ({"final_time": np.nan}, "final_time"),
+    ({"final_time": np.inf}, "final_time"),
+    ({"final_time": -1.0}, "final_time"), ({"final_time": 0.0}, "final_time"),
+    ({"stop_time": -1.0}, "stop_time"), ({"stop_time": np.nan}, "stop_time"),
+    ({"stop_time": 5.0}, "stop_time")],
+    ids=["final-nan", "final-inf", "final-negative", "final-zero",
+         "stop-negative", "stop-nan", "stop-past-final"])
+def test_solver_config_rejects_a_bad_time(times, key):
+    """A run ends at a finite, positive final time, and stops in (0,
+    final_time]: any other time is named before a step is taken."""
+    with pytest.raises(ConfigurationError, match=f"^{key}: "):
+        run(closed_box(ACOUSTIC), SolverConfig(**times),
+            initial={"type": "zero"})
+
+
 @pytest.mark.parametrize("interface", [("z", 5.0), ("x", 2.5), ("x", 50.0)],
                          ids=["axis-z", "between-edges", "outside"])
 def test_mesh_rejects_an_interface_off_its_element_edges(interface):
@@ -403,6 +419,16 @@ def test_standing_mode_satisfies_wave_equation_discretely():
     err = diagnostics.weighted_l2(rec.final_state.U - exact, mesh)
     norm = diagnostics.weighted_l2(exact, mesh)
     assert err < 1e-4 * max(norm, 1.0)
+
+
+@pytest.mark.parametrize("media_, interface", [
+    ((ISO,), None), ((ACOUSTIC, ACOUSTIC), ("x", 2.0))],
+    ids=["elastic", "two-media"])
+def test_standing_mode_needs_one_acoustic_medium(media_, interface):
+    mesh = build_mesh(0.0, 4.0, 0.0, 4.0, 2.0, 2, media_, R_CLOSED,
+                      interface=interface)
+    with pytest.raises(ValueError, match="one acoustic medium"):
+        standing_mode(mesh)
 
 
 def test_quick_convergence_order():
