@@ -28,7 +28,7 @@ class ConfigurationError(WavelabError, ValueError):
 def require(key, value, interval):
     """Raise ConfigurationError naming the scenario ``key`` unless ``value``
     lies in ``interval``, such as "(0, 1]"; NaN lies in none."""
-    lo, hi = (float(b) for b in interval[1:-1].split(","))
+    lo, hi = map(float, interval[1:-1].split(","))
     if not ((lo < value if interval[0] == "(" else lo <= value)
             and (value < hi if interval[-1] == ")" else value <= hi)):
         raise ConfigurationError(
