@@ -25,14 +25,14 @@ class ConfigurationError(WavelabError, ValueError):
     """A scenario file or override violates the configuration schema."""
 
 
-def require(key, value, interval):
+def require(key, value, lo, hi, ends="[]"):
     """Raise ConfigurationError naming the scenario ``key`` unless ``value``
-    lies in ``interval``, such as "(0, 1]"; NaN lies in none."""
-    lo, hi = map(float, interval[1:-1].split(","))
-    if not ((lo < value if interval[0] == "(" else lo <= value)
-            and (value < hi if interval[-1] == ")" else value <= hi)):
+    lies from ``lo`` to ``hi``, each end closed or open as ``ends`` says: "[]",
+    "(]", "[)" or "()".  NaN lies in no interval."""
+    if not ((lo < value if ends[0] == "(" else lo <= value)
+            and (value < hi if ends[1] == ")" else value <= hi)):
         raise ConfigurationError(
-            f"{key}: must lie in {interval}, got {value!r}")
+            f"{key}: must lie in {ends[0]}{lo}, {hi}{ends[1]}, got {value}")
 
 
 class UnstableRunError(WavelabError):

@@ -54,10 +54,10 @@ class Layers:
                 raise ConfigurationError(f"pml.sides[{i}]: " + (
                     f"repeats {side!r}" if side in SIDES else "must be one "
                     f"of {', '.join(map(repr, SIDES))}, got {side!r}"))
-        for key, interval in (("width", "(0, inf)"), ("d0", "[0, inf)"),
-                              ("exponent", "[1, inf)"), ("alpha", "[0, inf)"),
-                              ("gamma", "(0, inf)")):
-            require(f"pml.{key}", getattr(self, key), interval)
+        for key, lo, ends in (("width", 0, "()"), ("d0", 0, "[)"),
+                              ("exponent", 1, "[)"), ("alpha", 0, "[)"),
+                              ("gamma", 0, "()")):
+            require(f"pml.{key}", getattr(self, key), lo, np.inf, ends)
 
     def extents(self, box):
         """The box (x0, x1, y0, y1) grown by ``width`` on each layer side."""

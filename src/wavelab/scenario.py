@@ -258,7 +258,8 @@ def from_dict(data):
     layers = pml_mod.Layers(pml.sides, pml.width, pml.d0 or 0.0,
                             pml.exponent, pml.alpha, pml.gamma)
     mx0, mx1, my0, my1 = layout(v["domain"], size, layers, v["interface"])[2]
-    if layers.sides and pml.d0 is None:  # damping_strength is public
+    if layers.sides and pml.d0 is None:
+        # public damping_strength, reached only with sides, on accepted values
         layers = replace(layers, d0=pml_mod.damping_strength(
             c_p_max, layers.width, pml.tol))
     config = SolverConfig(theta["x"], theta["y"], v["cfl"], v["final_time"],

@@ -24,7 +24,6 @@ from . import fluxes
 
 @dataclass
 class SolverConfig:
-    """Each value out of range raises ConfigurationError naming its key."""
     theta_x: float = 1.0
     theta_y: float = 1.0
     cfl: float = 0.9
@@ -33,13 +32,13 @@ class SolverConfig:
 
     def __post_init__(self):
         stop = self.final_time if self.stop_time is None else self.stop_time
-        for key, value, interval in (
-                ("theta.x", self.theta_x, "[0, 1]"),
-                ("theta.y", self.theta_y, "[0, 1]"),
-                ("cfl", self.cfl, "(0, 1]"),
-                ("final_time", self.final_time, "(0, inf)"),
-                ("stop_time", stop, f"(0, {self.final_time}]")):
-            require(key, value, interval)
+        for key, value, hi, ends in (
+                ("theta.x", self.theta_x, 1, "[]"),
+                ("theta.y", self.theta_y, 1, "[]"),
+                ("cfl", self.cfl, 1, "(]"),
+                ("final_time", self.final_time, math.inf, "()"),
+                ("stop_time", stop, self.final_time, "(]")):
+            require(key, value, 0, hi, ends)
 
 
 def _block_shapes(mesh):

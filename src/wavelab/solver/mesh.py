@@ -57,7 +57,7 @@ def layout(box, element_size, layers, interface=None):
 def reflection_coefficients(boundary_r):
     """side -> wall reflection coefficient r, as a dict; each in [-1, 1]."""
     for side in SIDES:
-        require(f"boundaries.{side}", boundary_r[side], "[-1, 1]")
+        require(f"boundaries.{side}", boundary_r[side], -1, 1)
     return dict(boundary_r)
 
 
