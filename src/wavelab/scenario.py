@@ -226,7 +226,7 @@ class Scenario(SimpleNamespace):
     """The keys of ``SCHEMA``, resolved, as attributes; but ``domain`` is
     (x0, x1, y0, y1), ``medium`` is ``media`` (one or two) and ``interface``
     ((axis, position) or None), and ``theta`` is ``theta_x``, ``theta_y``;
-    ``c_p_max`` (of the media), ``layers`` and ``config`` are built once."""
+    ``c_p_max`` (the largest c_p), ``layers`` and ``config`` are built once."""
 
     def build(self):
         """Returns (mesh, solver config) ready for solver.run."""
