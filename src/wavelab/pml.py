@@ -59,12 +59,6 @@ class Layers:
                               ("gamma", 0, "()")):
             require(f"pml.{key}", getattr(self, key), lo, np.inf, ends)
 
-    def extents(self, box):
-        """The box (x0, x1, y0, y1) grown by ``width`` on each layer side."""
-        x0, x1, y0, y1 = box
-        w = {side: self.width if side in self.sides else 0.0 for side in SIDES}
-        return x0 - w["west"], x1 + w["east"], y0 - w["south"], y1 + w["north"]
-
     def ramp(self, xi, lo, hi):
         """The ramp at coordinates xi of one axis whose box spans [lo, hi]."""
         depth = np.maximum(lo - xi, xi - hi) / self.width

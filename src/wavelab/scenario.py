@@ -10,7 +10,7 @@ one walk, builds the solver's objects and checks the rules relating keys.
 
 import json
 import math
-from dataclasses import fields, replace
+from dataclasses import fields
 from importlib import resources
 from numbers import Integral, Real
 from types import SimpleNamespace
@@ -116,21 +116,21 @@ def obj(rows):
         if not isinstance(value, dict):
             raise Invalid(f"must be an object, got {value!r}")
         out = defaults.copy()
-        try:
-            for key, v in value.items():
-                if key not in reads:
-                    raise Invalid("unknown configuration key")
+        for key, v in value.items():
+            if key not in reads:  # named as text, under the object
+                raise Invalid(f"unknown configuration key {key!r}")
+            try:
                 out[key] = reads[key](v)
-            if len(value) < len(rows):  # some keys are absent
-                for key in required:
-                    if key not in value:
-                        raise Invalid("is required")
-                for key in nested:  # a nested object's defaults, copied
-                    if key not in value:
-                        out[key] = dict(out[key])
-        except Invalid as exc:
-            exc.path.append(key)
-            raise
+            except Invalid as exc:
+                exc.path.append(key)
+                raise
+        if len(value) < len(rows):  # some keys are absent
+            for key in required:
+                if key not in value:
+                    raise Invalid("is required", key)
+            for key in nested:  # a nested object's defaults, copied
+                if key not in value:
+                    out[key] = dict(out[key])
         return out
     return read
 
@@ -255,13 +255,14 @@ def from_dict(data):
         c_p_max = media_mod.max_wave_speed(v["media"])
     except InvalidMediumError as exc:
         raise ConfigurationError(f"medium: {exc}") from None
-    layers = pml_mod.Layers(pml.sides, pml.width, pml.d0 or 0.0,
-                            pml.exponent, pml.alpha, pml.gamma)
-    mx0, mx1, my0, my1 = layout(v["domain"], size, layers, v["interface"])[2]
-    if layers.sides and pml.d0 is None:
-        # public damping_strength, reached only with sides, on accepted values
-        layers = replace(layers, d0=pml_mod.damping_strength(
-            c_p_max, layers.width, pml.tol))
+    mx0, mx1, my0, my1 = layout(v["domain"], size, pml.sides, pml.width,
+                                v["interface"])[2]
+    d0 = pml.d0
+    if d0 is None:  # tol-derived; with sides, layout has found the width > 0
+        d0 = (pml_mod.damping_strength(c_p_max, pml.width, pml.tol)
+              if pml.sides else 0.0)
+    layers = pml_mod.Layers(pml.sides, pml.width, d0, pml.exponent,
+                            pml.alpha, pml.gamma)
     config = SolverConfig(theta["x"], theta["y"], v["cfl"], v["final_time"],
                           v["stop_time"])
     v["boundaries"] = reflection_coefficients(v["boundaries"])

@@ -62,7 +62,7 @@ def split(y, mesh):
 class SimState:
     """The state at time t: the flat vector y, its blocks U, w_x and w_y as
     views of it (write them in place, as in ``state.U[:] = ...``), and the
-    five RK4 stage vectors that ``advance`` allocates on its first step."""
+    three RK4 stage vectors that ``advance`` allocates on its first step."""
 
     def __init__(self, t, y, mesh):
         self.t = t
@@ -81,13 +81,16 @@ def zero_state(mesh):
 
 def _volume_terms(mesh, U, Vx, Vy, scratch):
     """Vx and Vy, each one matrix product along node lines, one field mix
-    per element and the metric scaling, written into the caller's arrays."""
+    per element and the metric scaling, written into the caller's arrays;
+    the x line product passes through Vy, the y line product through
+    scratch."""
     K, L, m, n = mesh.K, mesh.L, mesh.m, mesh.n
     rows = U.reshape(K * L * m, n * n)
-    for line, A, scale, V in zip((mesh.line_x, mesh.line_y),
-                                 (mesh.A_x, mesh.A_y), mesh.scales, (Vx, Vy)):
-        np.matmul(rows, line, out=scratch.reshape(K * L * m, n * n))
-        np.matmul(A, scratch.reshape(K * L, m, n * n),
+    for line, A, scale, V, lines in zip(
+            (mesh.line_x, mesh.line_y), (mesh.A_x, mesh.A_y), mesh.scales,
+            (Vx, Vy), (Vy, scratch)):
+        np.matmul(rows, line, out=lines.reshape(K * L * m, n * n))
+        np.matmul(A, lines.reshape(K * L, m, n * n),
                   out=V.reshape(K * L, m, n * n))
         V *= scale
 
@@ -103,29 +106,36 @@ def _along(a, axis):
 
 def rhs(y, mesh, config, out):
     """Write dy/dt of the semi-discrete system at the flat state y into the
-    flat vector out (same layout, see ``split``)."""
+    flat vector out (same layout, see ``split``).  The U block of out is
+    scratch until the P multiply, so out must not overlap y."""
+    if np.may_share_memory(y, out):
+        raise ValueError("rhs: out must not overlap y")
     U, w_x, w_y = split(y, mesh)
     dU, dw_x, dw_y = split(out, mesh)
-    Vx, Vy, scratch, body = mesh.work
-    _volume_terms(mesh, U, Vx, Vy, scratch)
-    np.add(Vx, Vy, out=body)
-    layers = ((Vx, w_x, dw_x, mesh.active_x, config.theta_x),
-              (Vy, w_y, dw_y, mesh.active_y, config.theta_y))
-    for axis, (V, w, dw, active, theta) in zip("xy", layers):
+    Vx, Vy = mesh.work
+    _volume_terms(mesh, U, Vx, Vy, dU)
+    pending = []  # per axis, what the body takes once it is formed
+    for axis, V, w, dw, active, theta in (
+            ("x", Vx, w_x, dw_x, mesh.active_x, config.theta_x),
+            ("y", Vy, w_y, dw_y, mesh.active_y, config.theta_y)):
         traces = _along(U, axis)
         lift_lo, lift_hi = fluxes.elastic_face_fluctuations(
             mesh.lift_maps[axis], traces[:, :, :, 0], traces[:, :, :, -1])
+        w, dw = _along(w, axis), _along(dw, axis)
+        pending.append((axis, lift_lo, lift_hi, w, active))
+        if not active.size:  # no layer on this axis: w and dw are empty
+            continue
+        np.subtract(_along(V, axis)[active], mesh.damping[axis][1] * w,
+                    out=dw)
+        dw[:, :, :, 0] -= theta * lift_lo[active]
+        dw[:, :, :, -1] -= theta * lift_hi[active]
+    body = np.add(Vx, Vy, out=Vx)  # in place: the updates above read Vx
+    for axis, lift_lo, lift_hi, w, active in pending:
         faces = _along(body, axis)
         faces[:, :, :, 0] -= lift_lo
         faces[:, :, :, -1] -= lift_hi
-        if not active.size:  # no layer on this axis: w and dw are empty
-            continue
-        d, d_alpha = mesh.damping[axis]
-        w, dw = _along(w, axis), _along(dw, axis)
-        faces[active] -= d * w
-        np.subtract(_along(V, axis)[active], d_alpha * w, out=dw)
-        dw[:, :, :, 0] -= theta * lift_lo[active]
-        dw[:, :, :, -1] -= theta * lift_hi[active]
+        if active.size:
+            faces[active] -= mesh.damping[axis][0] * w
 
     shape = (mesh.K, mesh.L, mesh.m, mesh.n * mesh.n)
     np.matmul(mesh.Pmat, body.reshape(shape), out=dU.reshape(shape))
@@ -146,17 +156,20 @@ def timestep(config, mesh):
 
 def rk4_step(y, dt, f, stages):
     """Classical RK4 step of the flat vector y, in place: ``f(y, out)`` writes
-    dy/dt into out, ``stages`` holds five vectors like y, and the arithmetic
-    is y + (c dt) k per stage and y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4)."""
-    k1, k2, k3, k4, z = stages
-    f(y, k1)
-    for k, c, k_next in ((k1, 0.5, k2), (k2, 0.5, k3), (k3, 1.0, k4)):
+    dy/dt into out, and ``stages`` holds three vectors like y (acc, k, z).
+    The arithmetic is y + (c dt) k per stage and
+    y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4): acc takes k1, then adds each
+    later 2 k or k as soon as the next stage's z has been formed from it."""
+    acc, k, z = stages
+    f(y, acc)
+    np.add(y, np.multiply(0.5 * dt, acc, out=z), out=z)
+    for c in (0.5, 1.0):
+        f(z, k)
         np.add(y, np.multiply(c * dt, k, out=z), out=z)
-        f(z, k_next)
-    np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
-    np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
-    k1 += k4
-    y += np.multiply(dt / 6.0, k1, out=k1)
+        acc += np.multiply(2.0, k, out=k)
+    f(z, k)
+    acc += k
+    y += np.multiply(dt / 6.0, acc, out=acc)
 
 
 def time_grid(config, mesh, history_stride=None):
@@ -177,7 +190,7 @@ def time_grid(config, mesh, history_stride=None):
 def advance(state, dt, mesh, config):
     """One RK4 step of the state, in place, from t to t + dt."""
     if state.stages is None:
-        state.stages = np.empty((5, state.y.size))
+        state.stages = np.empty((3, state.y.size))
     rk4_step(state.y, dt, lambda y, out: rhs(y, mesh, config, out),
              state.stages)
     state.t += dt

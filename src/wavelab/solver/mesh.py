@@ -20,12 +20,13 @@ def element_count(span, size):
     return n if abs(ratio - n) <= 1e-9 * max(1.0, abs(ratio)) else None
 
 
-def layout(box, element_size, layers, interface=None):
+def layout(box, element_size, sides=(), width=0.0, interface=None):
     """The squares of side ``element_size`` tiling ``box`` (x0, x1, y0, y1)
-    grown by ``layers``, as counts (K, L, extents of the grown box, interior
-    element range).  Each extent must increase and span whole elements, and
-    so must the layer width; an ``interface`` (axis, position) must lie on an
-    x or y element edge.  The first rule broken, in that order, raises
+    grown by layers of ``width`` beyond the named ``sides``, as counts (K, L,
+    extents of the grown box, interior element range).  Each extent must
+    increase and span whole elements, and the layers, if any, a positive
+    whole number of them; an ``interface`` (axis, position) must lie on an x
+    or y element edge.  The first rule broken, in that order, raises
     ConfigurationError naming its scenario key."""
     counts = []
     for axis, lo, hi in (("x", *box[:2]), ("y", *box[2:])):
@@ -36,13 +37,16 @@ def layout(box, element_size, layers, interface=None):
         if not counts[-1]:
             raise ConfigurationError(f"element_size: {element_size} does not "
                                      f"divide the {axis} extent {hi - lo}")
-    width = element_count(layers.width, element_size)
-    if layers.sides and not width:
-        raise ConfigurationError(f"pml.width: layer width {layers.width} "
-                                 f"is not a multiple of {element_size}")
-    w, e, s, n = (width if side in layers.sides else 0 for side in SIDES)
+    cells = element_count(width, element_size)
+    if sides and not (cells or 0) > 0:
+        raise ConfigurationError(f"pml.width: layer width {width} is not a "
+                                 f"positive multiple of {element_size}")
+    w, e, s, n = (cells if side in sides else 0 for side in SIDES)
     K, L = w + counts[0] + e, s + counts[1] + n
-    extents = layers.extents(box)
+    x0, x1, y0, y1 = box
+    grow = {side: width if side in sides else 0.0 for side in SIDES}
+    extents = (x0 - grow["west"], x1 + grow["east"], y0 - grow["south"],
+               y1 + grow["north"])
     if interface is not None:
         axis, position = interface
         lo, hi = extents[:2] if axis == "x" else extents[2:]
@@ -108,8 +112,8 @@ class Mesh:
         h = self.ref.weights
         self.energy_weight = 0.5 * self.jac[:, :, None, None] * np.outer(
             h, h).ravel()
-        # scratch nodal arrays that every rhs() call overwrites
-        self.work = np.empty((4, self.K, self.L, self.m, self.n, self.n))
+        # the two scratch nodal arrays (Vx, Vy) that every rhs() overwrites
+        self.work = np.empty((2, self.K, self.L, self.m, self.n, self.n))
 
     # -- media ------------------------------------------------------------
 
@@ -132,7 +136,8 @@ class Mesh:
                 (q, v, A[v, q], np.array([p[i][2] for p in pairs])[ix])
                 for i, (q, v, _) in enumerate(pairs[0]))
         # the time step follows the media the elements hold
-        self.c_max = max_wave_speed([self.media[i] for i in np.unique(index)])
+        self.c_max = max_wave_speed([med for i, med in enumerate(self.media)
+                                     if (index == i).any()])
 
     # -- damping ----------------------------------------------------------
 
@@ -226,7 +231,7 @@ def build_mesh(x0, x1, y0, y1, element_size, degree, media, boundary_r,
                                  "system (acoustic or elastic) and an "
                                  "interface")
     K, L, (mx0, mx1, my0, my1), interior = layout(
-        (x0, x1, y0, y1), element_size, layers, interface)
+        (x0, x1, y0, y1), element_size, layers.sides, layers.width, interface)
     x_edges = mx0 + element_size * np.arange(K + 1)
     y_edges = my0 + element_size * np.arange(L + 1)
     # exact tiling of the stated extents

@@ -1,11 +1,12 @@
 """Reference computations that only the tests use: the SBP identity of the
 reference element, the element kernels of the solver as einsum contractions,
 the face fluctuations one characteristic pair at a time and the right-hand
-side built on them, the complex stretching metric of the PML, the slowest
-elastic wave speed, the per-direction plane-wave analysis that
-``wavelab.analysis.branches`` batches, the exact group velocity, the
-search that derives a medium violating the geometric stability
-condition, and the interior PML error of two recorded field histories."""
+side built on them, the RK4 step with each stage in its own vector, the
+complex stretching metric of the PML, the slowest elastic wave speed, the
+per-direction plane-wave analysis that ``wavelab.analysis.branches``
+batches, the exact group velocity, the search that derives a medium
+violating the geometric stability condition, and the interior PML error of
+two recorded field histories."""
 
 import numpy as np
 
@@ -141,6 +142,21 @@ def rhs(y, mesh, config):
         dw[:, :, :, -1] -= theta * lift_hi[active]
     dU[:] = p_multiply(mesh, body)
     return out
+
+
+def rk4_step(y, dt, f, stages):
+    """The classical RK4 step of ``wavelab.solver.rk4_step`` in five vectors
+    (k1, k2, k3, k4, z), forming y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4) only
+    after the last stage."""
+    k1, k2, k3, k4, z = stages
+    f(y, k1)
+    for k, c, k_next in ((k1, 0.5, k2), (k2, 0.5, k3), (k3, 1.0, k4)):
+        np.add(y, np.multiply(c * dt, k, out=z), out=z)
+        f(z, k_next)
+    np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+    np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
+    k1 += k4
+    y += np.multiply(dt / 6.0, k1, out=k1)
 
 
 def stretching_metric(s, d, alpha, gamma=1.0):

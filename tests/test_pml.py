@@ -3,6 +3,7 @@ import pytest
 
 from oracles import stretching_metric
 from wavelab import pml
+from wavelab.solver.mesh import layout
 
 
 def make_layers(**kw):
@@ -140,8 +141,8 @@ def test_profile_validation():
 
 def test_layers_grow_the_box_on_their_sides_only():
     box = (-20.0, 20.0, 0.0, 10.0)
-    assert pml.Layers().extents(box) == box
-    assert make_layers(sides=("west", "north")).extents(box) == (
+    assert layout(box, 10.0)[2] == box
+    assert layout(box, 10.0, ("west", "north"), 10.0)[2] == (
         -30.0, 20.0, 0.0, 20.0)
-    assert make_layers(sides=pml.SIDES).extents(box) == (
+    assert layout(box, 10.0, pml.SIDES, 10.0)[2] == (
         -30.0, 30.0, -10.0, 20.0)

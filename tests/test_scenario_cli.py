@@ -92,8 +92,16 @@ def test_element_size_must_divide_domain():
 
 
 def test_unknown_keys_and_schema_rejected():
-    with pytest.raises(ConfigurationError, match="wavelength"):
+    with pytest.raises(ConfigurationError, match=r"^scenario: unknown "
+                       r"configuration key 'wavelength'$"):
         scenario.from_dict(tiny_scenario_dict(wavelength=3.0))
+    # quoted under the object that holds it, so no key reads as a path
+    for key, held in (("a.b", "pml"), (":", "pml"), ("z", "domain")):
+        data = tiny_scenario_dict()
+        data[held][key] = 1.0
+        with pytest.raises(ConfigurationError, match=f"^{held}: unknown "
+                           f"configuration key {re.escape(repr(key))}$"):
+            scenario.from_dict(data)
     bad = tiny_scenario_dict()
     bad["schema"] = 99
     with pytest.raises(ConfigurationError, match="schema"):
@@ -177,6 +185,43 @@ def test_cli_run_writes_artifacts_and_is_deterministic(tmp_path):
     assert len(meta["scenario_hash"]) == 64
 
 
+_LEAN_RUN = """
+import json, sys
+from wavelab import cli, scenario
+path, out = sys.argv[1:]
+assert cli.main(["run", path, "--out", out]) == cli.EXIT_OK
+loaded = sorted({"_hashlib", "numpy.ma"} & set(sys.modules))
+import hashlib
+sc = scenario.load(path)
+blob = json.dumps(sc.canonical_dict(), sort_keys=True, separators=(",", ":"))
+print(json.dumps({"loaded": loaded, "hash": cli.scenario_hash(sc),
+                  "sha256": hashlib.sha256(blob.encode()).hexdigest()}))
+"""
+
+
+def _fresh_env(**env):
+    """os.environ with ``env`` and this checkout's wavelab on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def test_a_run_loads_neither_openssl_nor_numpy_ma(tmp_path):
+    """A ``wavelab run`` in a fresh interpreter leaves hashlib's OpenSSL
+    module and numpy.ma unloaded, and its scenario hash is still hashlib's
+    SHA-256 of the canonical scenario."""
+    path = write_scenario(tmp_path, tiny_scenario_dict(
+        pml={"sides": ["east"], "width": 1.0}))
+    done = subprocess.run(
+        [sys.executable, "-c", _LEAN_RUN, path, str(tmp_path / "out")],
+        env=_fresh_env(), capture_output=True, text=True, check=True)
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["loaded"] == []
+    assert report["hash"] == report["sha256"]
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert meta["scenario_hash"] == report["sha256"]
+
+
 _HASH_RUNS = """
 import hashlib, sys
 from pathlib import Path
@@ -194,12 +239,10 @@ for path in sorted(out.glob("*/*.csv")):
 def test_csv_bodies_do_not_depend_on_the_blas_thread_count(tmp_path):
     """The matrix products of rhs and discrete_energy give the same bytes
     with one BLAS thread and with two."""
-    src = str(Path(cli.__file__).resolve().parents[1])
     listings = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        env = _fresh_env(OPENBLAS_NUM_THREADS=threads,
+                         OMP_NUM_THREADS=threads)
         done = subprocess.run(
             [sys.executable, "-c", _HASH_RUNS, str(tmp_path / threads)],
             env=env, capture_output=True, text=True, check=True)
@@ -569,9 +612,10 @@ PROBES = {
     "cfl-bool": (_set(["cfl"], True), "cfl"),
     "record-fields-string": (_set(["record_fields"], "no"), "record_fields"),
     "exponent-float": (_set(["pml", "exponent"], 2.7), "pml.exponent"),
-    "pml-unknown-key": (_set(["pml", "widht"], 10.0), "pml.widht"),
+    # an unknown key is named by the object that holds it
+    "pml-unknown-key": (_set(["pml", "widht"], 10.0), "pml"),
     "initial-unknown-key": (_set(["initial", "centre"], [0.0, 1.0]),
-                            "initial.centre"),
+                            "initial"),
     "duplicate-side": (_set(["pml", "sides"], ["east", "east"]),
                        "pml.sides[1]"),
     "interface-off-edge": (_set(["medium"], {
@@ -610,6 +654,7 @@ PROBES = {
     "element-size-3": (_set(["element_size"], 3.0), "element_size"),
     "pml-width-part-element": (_set(["pml", "width"], 7.5), "pml.width"),
     "pml-width-no-element": (_set(["pml", "width"], 1e-12), "pml.width"),
+    "pml-width-negative": (_set(["pml", "width"], -10.0), "pml.width"),
     # the tol-derived d0 of this width overflows: layout names the width first
     "pml-width-tiny": (_set(["pml", "width"], 1e-308), "pml.width"),
     "receiver-outside": (_set(["receivers"], [[500.0, 1.0]]),

@@ -54,10 +54,7 @@ def test_any_preset_mutation_is_accepted_or_named(data):
     try:
         assert isinstance(scenario.from_dict(raw), scenario.Scenario)
     except ConfigurationError as exc:
-        # an unknown key, named as given, is the one path of any text
-        message = str(exc)
-        assert re.match(r"^[\w.\[\]]+: ", message) or message.endswith(
-            ": unknown configuration key"), message
+        assert re.match(r"^[\w.\[\]]+: ", str(exc)), str(exc)
     except InvalidMediumError:
         pass
     finally:

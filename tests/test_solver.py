@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from wavelab import cli, diagnostics, media, pml, scenario
 from wavelab.errors import (ConfigurationError, InvalidMediumError,
                             UnstableRunError)
@@ -207,14 +208,40 @@ def test_timestep_reference_values():
 def test_rk4_scalar_decay_accuracy():
     y = np.array([1.0])
     dt = 0.1
-    rk4_step(y, dt, lambda s, out: np.negative(s, out=out), np.empty((5, 1)))
+    rk4_step(y, dt, lambda s, out: np.negative(s, out=out), np.empty((3, 1)))
     assert abs(y[0] - np.exp(-dt)) < 1e-7
 
 
 def test_rk4_zero_rhs_identity():
     y = np.arange(5.0)
-    rk4_step(y, 0.3, lambda s, out: out.fill(0.0), np.empty((5, 5)))
+    rk4_step(y, 0.3, lambda s, out: out.fill(0.0), np.empty((3, 5)))
     assert np.array_equal(y, np.arange(5.0))
+
+
+def test_rk4_step_equals_the_five_vector_oracle():
+    """The three-vector step does the oracle's arithmetic in the oracle's
+    order, so every bit agrees, step after step."""
+    rng = np.random.default_rng(8)
+    A = rng.normal(size=(40, 40))
+
+    def f(s, out):
+        np.matmul(A, s, out=out)
+
+    y = rng.normal(size=40)
+    want = y.copy()
+    for _ in range(5):
+        rk4_step(y, 0.07, f, np.empty((3, 40)))
+        oracles.rk4_step(want, 0.07, f, np.empty((5, 40)))
+        assert np.array_equal(y, want)
+
+
+def test_rhs_rejects_an_out_that_overlaps_y():
+    """rhs uses the U block of out as scratch while it still reads y."""
+    mesh = closed_box(ACOUSTIC, n_elem=2, degree=3)
+    st = smooth_random_state(mesh, seed=3)
+    for out in (st.y, st.y[::-1]):
+        with pytest.raises(ValueError, match="out must not overlap y"):
+            rhs(st.y, mesh, SolverConfig(), out)
 
 
 def test_advance_linear_superposition():
