@@ -16,6 +16,7 @@ from .errors import DegenerateBranchError, InvalidMediumError
 TOL_GSC = 1e-10
 
 MIN_DIRECTIONS = 16
+MAX_DIRECTIONS = 10**5  # a scan holds about 3.4 KiB per direction
 
 # relative gap under which two frequency branches count as degenerate
 _DEGENERATE_RTOL = 1e-7
@@ -135,6 +136,8 @@ def slowness_scan(medium, n_directions=720):
     """
     if n_directions < MIN_DIRECTIONS:
         raise ValueError(f"need at least {MIN_DIRECTIONS}, got {n_directions}")
+    if n_directions > MAX_DIRECTIONS:
+        raise ValueError(f"need at most {MAX_DIRECTIONS}, got {n_directions}")
     angles = 2.0 * np.pi * (np.arange(n_directions) + _GRID_OFFSET) \
         / n_directions
     k = np.stack([np.cos(angles), np.sin(angles)], axis=-1)

@@ -18,8 +18,7 @@ from . import media as media_mod
 from . import scenario as scenario_mod
 from .errors import (ConfigurationError, InvalidMediumError,
                      NumericalFailureError, UnstableRunError)
-from .solver.core import standing_mode, time_grid
-from .solver.mesh import layout
+from .solver.core import standing_mode
 
 try:  # CPython's own SHA-256: hashlib would load OpenSSL's libcrypto
     from _sha2 import sha256  # Python 3.12+
@@ -62,9 +61,19 @@ def _write_metadata(out, sc, extra):
         fh.write("\n")
 
 
+def _output_dir(path):
+    """``path`` as a directory made with its parents, or ConfigurationError."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, no permission, ...
+        raise ConfigurationError(f"cannot make output directory {out}: "
+                                 f"{exc.strerror}") from None
+    return out
+
+
 def write_run_artifacts(out_dir, sc, record):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(out_dir)
     _write_csv(out / "series.csv", ["t", "linf", "energy"],
                np.column_stack([record.times, record.linf, record.energy]))
     if record.receiver_series is not None:
@@ -94,7 +103,7 @@ def write_run_artifacts(out_dir, sc, record):
 def run_scenario_with_artifacts(sc, out_dir=None):
     """Execute a scenario and write artifacts; re-raises instability after
     writing the partial record."""
-    out_dir = Path(out_dir or sc.output_dir or Path("out") / sc.name)
+    out_dir = _output_dir(out_dir or sc.output_dir or Path("out") / sc.name)
     try:
         record = scenario_mod.run_scenario(sc)
     except UnstableRunError as exc:
@@ -121,8 +130,7 @@ def write_analysis_artifacts(medium_name, axis="x", n_directions=720,
         _, k, omega, V_g = analysis.slowness_scan(medium, n_directions)
     except ValueError as exc:
         raise ConfigurationError(f"--directions: {exc}") from None
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(out_dir)
     keep = ~np.isnan(V_g[..., 0])
     branch = np.broadcast_to(np.arange(omega.shape[1]), omega.shape)
     angle = np.broadcast_to(np.arctan2(k[:, 1:], k[:, :1]), omega.shape)
@@ -158,13 +166,10 @@ def compare_abc(base_sc, out_dir=None):
         raise ConfigurationError(
             "pml.sides: compare-abc compares a layer with the ABC, and the "
             "scenario has no layer")
-    out = Path(out_dir or Path("out") / "abc-comparison")
+    out = _output_dir(out_dir or Path("out") / "abc-comparison")
     x0, x1, _, _ = base_sc.domain
     horizon = diagnostics.reference_validity_horizon(
-        base_sc.domain,
-        layout(base_sc.domain, base_sc.element_size, base_sc.pml.sides,
-               x1 - x0)[2],
-        base_sc.c_p_max, base_sc.element_size)
+        x1 - x0, base_sc.c_p_max, base_sc.element_size)
     # the error series ends at the horizon, so no run steps past it
     common = {"snapshot_times": [], "stop_time": min(
         horizon, base_sc.stop_time or base_sc.final_time)}
@@ -178,31 +183,31 @@ def compare_abc(base_sc, out_dir=None):
 
     pml_rec = scenario_mod.run_scenario(pml_sc)
     abc_rec = scenario_mod.run_scenario(abc_sc)
-    ref_mesh, ref_config = ref_sc.build()
-    _, _, times, stride = time_grid(ref_config, ref_mesh,
-                                    ref_sc.history_stride)
-    times = times[::stride]  # the reference's sample times
-    diagnostics.check_lockstep((pml_rec, abc_rec), ref_mesh, times)
-    del ref_mesh  # run_scenario builds its own: hold one reference mesh
     rows = []
 
-    def measure(i, U):  # the reference's sample i against the stored ones
-        rows.append(diagnostics.pml_error(pml_rec.history[i], U, pml_rec.mesh)
-                    + diagnostics.pml_error(abc_rec.history[i], U,
-                                            abc_rec.mesh))
+    def measure(i, t, U):  # the reference's sample i against the stored ones
+        row = [t]
+        for rec in (pml_rec, abc_rec):
+            if not (i < len(rec.history) and rec.history[i].shape == U.shape
+                    and abs(rec.history_times[i] - t) <= 1e-9):
+                raise ValueError(f"reference sample {i} (t = {t:.6g} s, "
+                                 f"shape {U.shape}) has no stored match")
+            row += diagnostics.pml_error(rec.history[i], U, rec.mesh)
+        rows.append(row)
 
     # the reference records no history: it is measured as it steps
     scenario_mod.run_scenario(ref_sc, on_sample=measure)
-    # times increase, so the samples within the horizon are a prefix
-    keep = int(np.searchsorted(times, horizon + 1e-12, side="right"))
-    times, errors = times[:keep], np.array(rows)[:keep]
-    pml_err = diagnostics.ErrorSeries(times, errors[:, 0], errors[:, 1])
-    abc_err = diagnostics.ErrorSeries(times, errors[:, 2], errors[:, 3])
+    for rec in (pml_rec, abc_rec):
+        if len(rec.history) != len(rows):
+            raise ValueError(f"a stored run holds {len(rec.history)} "
+                             f"samples, the reference took {len(rows)}")
+    rows = np.array(rows)
+    rows = rows[rows[:, 0] <= horizon + 1e-12]
+    pml_err = diagnostics.ErrorSeries(rows[:, 0], rows[:, 1], rows[:, 2])
+    abc_err = diagnostics.ErrorSeries(rows[:, 0], rows[:, 3], rows[:, 4])
 
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "error_series.csv",
-               ["t", "pml_linf", "pml_l2", "abc_linf", "abc_l2"],
-               np.column_stack([times, errors]))
+               ["t", "pml_linf", "pml_l2", "abc_linf", "abc_l2"], rows)
     _write_metadata(out, base_sc, {
         "horizon": horizon,
         "pml_max_linf_error": pml_err.max_linf(),
@@ -213,12 +218,12 @@ def compare_abc(base_sc, out_dir=None):
 
 def convergence_study(degrees=(2, 3), meshes=(10, 20, 40), out_dir=None):
     """Closed-box standing-mode refinement sweep; returns observed orders."""
-    out = Path(out_dir or Path("out") / "convergence-study")
+    out = _output_dir(out_dir or Path("out") / "convergence-study")
     base = scenario_mod.load_preset("convergence-study")
     rows = []
     results = {}
     for degree in degrees:
-        errors = []
+        errors, first = [], len(rows)
         for ne in meshes:
             sc = scenario_mod.with_overrides(
                 base, degree=degree, element_size=1.0 / ne)
@@ -230,10 +235,9 @@ def convergence_study(degrees=(2, 3), meshes=(10, 20, 40), out_dir=None):
             order = (np.log2(errors[-1] / err) if errors else float("nan"))
             errors.append(err)
             rows.append([degree, ne, err, order])
-        orders = [np.log2(errors[i] / errors[i + 1])
-                  for i in range(len(errors) - 1)]
+        # this degree's rows less its first, which has no order
+        orders = [row[3] for row in rows[first + 1:]]
         results[degree] = {"errors": errors, "orders": orders}
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "convergence.csv",
                ["degree", "elements_per_side", "l2_error", "observed_order"],
                rows)

@@ -40,32 +40,12 @@ class ErrorSeries:
         return float(self.linf.max()) if self.linf.size else 0.0
 
 
-def reference_validity_horizon(interior_box, reference_extents, c_max,
-                               element_size):
-    """Time until spurious reflections from the reference-domain boundary can
-    re-enter the interior box: out-and-back travel distance over c_max, less
-    a one-element safety margin."""
-    ix0, ix1, iy0, iy1 = interior_box
-    rx0, rx1, ry0, ry1 = reference_extents
-    gaps = [g for g in (ix0 - rx0, rx1 - ix1, iy0 - ry0, ry1 - iy1) if g > 0]
-    if not gaps:
-        return 0.0
-    dist = min(gaps)
-    return max(0.0, (2.0 * dist - element_size) / c_max)
-
-
-def check_lockstep(records, mesh, times):
-    """Raise ValueError unless every record holds a field history shaped like
-    the ``mesh.interior`` elements and sampled at ``times`` (to 1e-9), so
-    that its samples pair one for one with those of a run on ``mesh``."""
-    kx0, kx1, ly0, ly1 = mesh.interior
-    shape = (kx1 - kx0, ly1 - ly0, mesh.m, mesh.n, mesh.n)
-    for rec in records:
-        if rec.history is None or rec.history.shape[1:] != shape:
-            raise ValueError(f"histories are not shaped {shape}")
-        if rec.history_times.shape != times.shape or not np.allclose(
-                rec.history_times, times, rtol=0, atol=1e-9):
-            raise ValueError("sample times do not line up")
+def reference_validity_horizon(width, c_max, element_size):
+    """Time until spurious reflections from the walls of a reference domain,
+    grown by ``width`` beyond each layer side, can re-enter the interior box:
+    out-and-back travel distance over c_max, less a one-element safety
+    margin."""
+    return max(0.0, (2.0 * width - element_size) / c_max)
 
 
 def pml_error(a, b, mesh):

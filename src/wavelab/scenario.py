@@ -314,7 +314,7 @@ def parse_scenario(path):
     except OSError as exc:  # a directory, no permission, ...
         raise ConfigurationError(f"cannot read scenario file {path}: "
                                  f"{exc.strerror}") from None
-    except ValueError as exc:  # JSON syntax or text encoding
+    except (ValueError, RecursionError) as exc:  # syntax, encoding, depth
         raise ConfigurationError(f"{path}: malformed JSON ({exc})") from None
     return from_dict(data)
 

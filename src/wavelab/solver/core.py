@@ -172,10 +172,10 @@ def rk4_step(y, dt, f, stages):
     y += np.multiply(dt / 6.0, acc, out=acc)
 
 
-def time_grid(config, mesh, history_stride=None):
-    """(dt, n_steps, times, stride): final_time in the fewest equal steps of
-    at most the CFL step, the time of every step that ``run`` takes to the
-    stop time (step 0 included), and the steps between its field samples."""
+def time_grid(config, mesh):
+    """(dt, n_steps, times): final_time in the fewest equal steps of at most
+    the CFL step, and the time of every step that ``run`` takes to the stop
+    time (step 0 included)."""
     n_steps = max(1, int(np.ceil(config.final_time / timestep(config, mesh)
                                  - 1e-12)))
     dt = config.final_time / n_steps
@@ -183,8 +183,7 @@ def time_grid(config, mesh, history_stride=None):
     # steps taken: step k + 1 starts at k dt, which must lie before stop
     n_run = next((k for k in range(n_steps) if k * dt >= stop - 1e-12),
                  n_steps)
-    return (dt, n_steps, np.arange(n_run + 1) * dt,
-            history_stride or max(1, n_steps // 400))
+    return dt, n_steps, np.arange(n_run + 1) * dt
 
 
 def advance(state, dt, mesh, config):
@@ -290,9 +289,10 @@ def run(mesh, config, initial=None, receivers=(), snapshot_times=(),
         on_sample=None):
     """Step the system to the final (or stop) time, recording diagnostics.
 
-    Every ``history_stride`` steps, the ``mesh.interior`` fields are sampled:
-    stored in the history with ``record_fields``, and passed to ``on_sample(i,
-    U_interior)`` for sample i as a view that the next step overwrites.
+    Every ``history_stride`` steps (default n_steps // 400, at least 1), the
+    ``mesh.interior`` fields are sampled: stored in the history with
+    ``record_fields``, and passed to ``on_sample(i, t, U_interior)`` for
+    sample i at time t as a view that the next step overwrites.
 
     Raises UnstableRunError, carrying the record up to the last sampled
     step so growth histories remain available, if the state leaves the
@@ -303,7 +303,8 @@ def run(mesh, config, initial=None, receivers=(), snapshot_times=(),
              if isinstance(initial, SimState)
              else initial_state(mesh, initial))
     U = state.U
-    dt, n_steps, times, stride = time_grid(config, mesh, history_stride)
+    dt, n_steps, times = time_grid(config, mesh)
+    stride = history_stride or max(1, n_steps // 400)
     stencils = _receiver_stencils(mesh, receivers)
     snap_steps = {}  # step -> every requested time that rounds to it
     for t in snapshot_times:
@@ -334,7 +335,7 @@ def run(mesh, config, initial=None, receivers=(), snapshot_times=(),
             if record_fields:
                 rec.history[step // stride] = U[kx0:kx1, ly0:ly1]
             if on_sample:
-                on_sample(step // stride, U[kx0:kx1, ly0:ly1])
+                on_sample(step // stride, times[step], U[kx0:kx1, ly0:ly1])
         if step and linf > divergence_factor * rec.linf[0] > 0:
             failure = (f"L-infinity norm diverged ({linf:.3g} > "
                        f"{divergence_factor:g} x initial)")

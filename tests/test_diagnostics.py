@@ -123,38 +123,10 @@ def test_pml_error_of_run_against_itself_is_zero():
     assert linf > 0.0 and l2 > 0.0
 
 
-def test_pml_error_requires_field_history():
-    rec = _recorded_run()
-    assert rec.history is None
-    with pytest.raises(ValueError, match="not shaped"):
-        diagnostics.check_lockstep([rec], rec.mesh, rec.times)
-
-
-def test_check_lockstep_rejects_a_dt_or_shape_mismatch():
-    rec = _recorded_run(record_fields=True, history_stride=2)
-    times = rec.history_times
-    diagnostics.check_lockstep([rec, rec], rec.mesh, times)
-    # a dt off in its last bits, as from another mesh origin, lines up
-    diagnostics.check_lockstep([rec], rec.mesh, times * (1 + 1e-15))
-    for other in (0.5 * times, times[::2], rec.times, times[:-1]):
-        with pytest.raises(ValueError, match="sample times do not line up"):
-            diagnostics.check_lockstep([rec], rec.mesh, other)
-    other = build_mesh(0.0, 15.0, 0.0, 10.0, 5.0, 3,
-                       (media.preset("acoustic-484"),), R1)
-    with pytest.raises(ValueError, match="not shaped"):
-        diagnostics.check_lockstep([rec], other, times)
-    finer = build_mesh(0.0, 10.0, 0.0, 10.0, 5.0, 4,
-                       (media.preset("acoustic-484"),), R1)
-    with pytest.raises(ValueError, match="not shaped"):
-        diagnostics.check_lockstep([rec], finer, times)
-
-
 def test_reference_validity_horizon():
     # interior ends at x=50, reference at x=150: 100 km out and back at
     # 1.484 km/s, less one 5 km element
-    h = diagnostics.reference_validity_horizon(
-        (-50.0, 50.0, 0.0, 50.0), (-50.0, 150.0, 0.0, 50.0), 1.484, 5.0)
+    h = diagnostics.reference_validity_horizon(100.0, 1.484, 5.0)
     assert h == pytest.approx((200.0 - 5.0) / 1.484)
     # no extension: horizon collapses to zero
-    assert diagnostics.reference_validity_horizon(
-        (0.0, 1.0, 0.0, 1.0), (0.0, 1.0, 0.0, 1.0), 1.0, 0.1) == 0.0
+    assert diagnostics.reference_validity_horizon(0.0, 1.0, 0.1) == 0.0

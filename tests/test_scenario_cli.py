@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 import wavelab.solver
-from wavelab import cli, media, scenario
+from wavelab import analysis, cli, media, scenario
 from wavelab.errors import ConfigurationError
 
 
@@ -134,6 +134,16 @@ def test_malformed_json_and_missing_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigurationError, match="malformed"):
         scenario.parse_scenario(str(bad))
+
+
+def test_deeply_nested_json_is_malformed(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    with pytest.raises(ConfigurationError,
+                       match=f"^{re.escape(str(path))}: malformed JSON"):
+        scenario.parse_scenario(str(path))
+    assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+    assert f"{path}: malformed JSON" in capsys.readouterr().err
 
 
 def test_two_media_scenario_builds():
@@ -300,6 +310,21 @@ def test_cli_analyze_rejects_too_few_directions(directions, tmp_path,
     assert code == cli.EXIT_CONFIG
     assert "configuration error: --directions: " in capsys.readouterr().err
     assert not out.exists()  # nothing is written
+
+
+def test_cli_analyze_rejects_too_many_directions(tmp_path, monkeypatch,
+                                                 capsys):
+    def branches(*args):  # the scan's large arrays: never reached
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(analysis, "branches", branches)
+    out = tmp_path / "an"
+    assert cli.main(["analyze", "--medium", "am1-table1", "--directions",
+                     str(analysis.MAX_DIRECTIONS + 1), "--out", str(out)]) == (
+        cli.EXIT_CONFIG)
+    assert ("configuration error: --directions: need at most 100000, got "
+            "100001") in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n_directions", [5, 0, -3])
@@ -555,6 +580,105 @@ def test_compare_abc_rejects_a_base_without_a_layer(tmp_path):
     assert not (tmp_path / "cmp").exists()
 
 
+LOCKSTEP_BASE = dict(
+    domain={"x": [-10.0, 10.0], "y": [0.0, 10.0]}, element_size=5.0,
+    degree=2, medium={"preset": "acoustic-484"},
+    pml={"sides": ["east"], "width": 5.0}, history_stride=2, final_time=5.0,
+    receivers=[], snapshot_times=[], initial={"type": "gaussian-pulse"})
+
+
+def _stepped_times(rec):
+    rec.history_times = rec.times
+
+
+def _one_sample_short(rec):
+    rec.history, rec.history_times = rec.history[:-1], rec.history_times[:-1]
+
+
+def _one_sample_long(rec):
+    rec.history = np.concatenate([rec.history, rec.history[-1:]])
+    rec.history_times = np.append(rec.history_times, np.inf)
+
+
+def _every_other_sample(rec):
+    rec.history, rec.history_times = rec.history[::2], rec.history_times[::2]
+
+
+def _half_times(rec):
+    rec.history_times = 0.5 * rec.history_times
+
+
+def _narrower_interior(rec):
+    rec.history = rec.history[:, :-1]
+
+
+def _fewer_nodes(rec):  # as from a lower degree
+    rec.history = rec.history[..., :-1, :-1]
+
+
+@pytest.mark.parametrize("stored", [0, 1], ids=["pml", "abc"])
+@pytest.mark.parametrize("perturb", [
+    _half_times, _every_other_sample, _stepped_times, _one_sample_short,
+    _one_sample_long, _narrower_interior, _fewer_nodes],
+    ids=lambda f: f.__name__[1:])
+def test_compare_abc_rejects_stored_samples_out_of_lockstep(
+        perturb, stored, tmp_path, monkeypatch):
+    """Each reference sample must meet, in each stored run, a sample of its
+    index, shape and time (to 1e-9), and the stored runs no further ones."""
+    original = wavelab.solver.run
+    calls = []
+
+    def run(*args, **kwargs):
+        rec = original(*args, **kwargs)
+        if len(calls) == stored:
+            perturb(rec)
+        calls.append(rec)
+        return rec
+
+    monkeypatch.setattr(wavelab.solver, "run", run)
+    base = scenario.from_dict(tiny_scenario_dict(**LOCKSTEP_BASE))
+    with pytest.raises(ValueError, match="reference"):
+        cli.compare_abc(base, tmp_path / "cmp")
+    assert len(calls[stored].history) > 2
+
+
+def test_compare_abc_accepts_sample_times_off_in_their_last_bits(
+        tmp_path, monkeypatch):
+    """A dt off in its last bits, as from another mesh origin, lines up."""
+    original = wavelab.solver.run
+
+    def run(*args, **kwargs):
+        rec = original(*args, **kwargs)
+        if rec.history is not None:
+            rec.history_times = rec.history_times * (1 + 1e-15)
+        return rec
+
+    monkeypatch.setattr(wavelab.solver, "run", run)
+    base = scenario.from_dict(tiny_scenario_dict(**LOCKSTEP_BASE))
+    pml_err, _, _ = cli.compare_abc(base, tmp_path / "cmp")
+    assert len(pml_err.times) > 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "acoustic-waveguide"], ["compare-abc"], ["convergence"],
+    ["analyze", "--medium", "am1-table1"]],
+    ids=["run", "compare-abc", "convergence", "analyze"])
+def test_an_unusable_out_exits_2_before_any_run(argv, tmp_path, monkeypatch,
+                                                capsys):
+    def run(*args, **kwargs):
+        raise AssertionError("solver.run called")
+
+    monkeypatch.setattr(wavelab.solver, "run", run)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"configuration error: cannot make output directory {out}: " \
+            in err
+    assert blocker.read_text() == ""
+
+
 def test_snapshot_times_with_one_file_name_are_rejected(tmp_path, capsys):
     """snapshot_t{t:g}.csv keeps six significant digits, so 0.6 and
     0.6000001 would write one file."""
@@ -733,13 +857,18 @@ def test_snapshot_past_stop_time_is_rejected(tmp_path, capsys):
 
 def test_compare_abc_drops_snapshots_past_its_horizon(tmp_path):
     """compare_abc stops its runs at the validity horizon and writes no
-    snapshots, so a base with snapshots past the horizon still runs."""
+    snapshots, so a base with snapshots past the horizon still runs.  Its
+    runs end on the first step at or past the horizon, and the error series
+    on the last sample at or before it."""
     base = scenario.from_dict(tiny_scenario_dict(
         domain={"x": [-20.0, 20.0], "y": [0.0, 20.0]}, element_size=5.0,
         degree=2, medium={"preset": "acoustic-484"},
         pml={"sides": ["east"], "width": 5.0}, final_time=60.0,
         receivers=[], snapshot_times=[55.0],
         initial={"type": "gaussian-pulse"}))
-    _, _, horizon = cli.compare_abc(base, tmp_path / "cmp")
+    pml_err, _, horizon = cli.compare_abc(base, tmp_path / "cmp")
     assert horizon < 55.0
-    assert (tmp_path / "cmp" / "error_series.csv").is_file()
+    dt = pml_err.times[1] - pml_err.times[0]
+    assert horizon - dt < pml_err.times[-1] <= horizon
+    body = (tmp_path / "cmp" / "error_series.csv").read_text().splitlines()
+    assert len(body) == 1 + len(pml_err.times)

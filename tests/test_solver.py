@@ -333,8 +333,8 @@ def test_perfect_matching_before_arrival():
 
 
 def test_on_sample_sees_the_history_samples():
-    """on_sample gets sample i of the interior fields at the history stride,
-    with or without the history stored."""
+    """on_sample gets sample i of the interior fields and its time at the
+    history stride, with or without the history stored."""
     layers = pml.Layers(("east",), 5.0, d0=1.0)
     mesh = build_mesh(0.0, 10.0, 0.0, 5.0, 5.0, 3, (ACOUSTIC,), R_CLOSED,
                       layers=layers)
@@ -344,14 +344,15 @@ def test_on_sample_sees_the_history_samples():
         samples = []
         rec = run(mesh, SolverConfig(final_time=2.0), **kw,
                   record_fields=record_fields,
-                  on_sample=lambda i, U: samples.append((i, U.copy())))
+                  on_sample=lambda i, t, U: samples.append((i, t, U.copy())))
         if record_fields:
-            history = rec.history
+            history, history_times = rec.history, rec.history_times
         else:
             assert rec.history is None
-    assert [i for i, _ in samples] == list(range(len(history)))
+    assert [i for i, _, _ in samples] == list(range(len(history)))
     assert len(history) == len(rec.times[::3]) > 2
-    for (_, U), want in zip(samples, history):
+    for (i, t, U), want in zip(samples, history):
+        assert t == history_times[i]
         assert np.array_equal(U, want)
 
 
