@@ -22,7 +22,9 @@ measured against them as it steps.
 ``cli.write_analysis_artifacts`` scans each medium preset, the unstable
 ``aniso-violating`` included, on both axes at ``ANALYSIS_DIRECTIONS``
 directions, and its ``slowness.csv`` and ``stability_{x,y}.json`` are hashed
-under ``analysis-<medium>``.  Output lines are
+under ``analysis-<medium>``.  ``cli.convergence_study`` on degrees 2 and 3
+at 5 and 10 elements per side, whose element edges at h = 0.2 and 0.1 do not
+sum exactly to the box, hashes its ``convergence.csv``.  Output lines are
 ``<sha256>  <scenario>/<file>``, sorted.
 """
 
@@ -40,6 +42,7 @@ ABC_TIME = {"abc-comparison": 60.0, "abc-comparison-all-sides": 20.0}
 ANALYSIS_MEDIA = ("acoustic-484", "iso-table1", "am1-table1",
                   "aniso-violating")
 ANALYSIS_DIRECTIONS = 180
+CONVERGENCE = {"degrees": (2, 3), "meshes": (5, 10)}
 
 
 def _variant(name, medium, sides, gamma=1.0, **extra):
@@ -103,6 +106,8 @@ def main():
             outs.append(Path(tmp) / f"analysis-{name}")
             cli.write_analysis_artifacts(name, "both", ANALYSIS_DIRECTIONS,
                                          outs[-1])
+        outs.append(Path(tmp) / "convergence")
+        cli.convergence_study(**CONVERGENCE, out_dir=outs[-1])
         for out in outs:
             for path in sorted([*out.glob("*.csv"),
                                 *out.glob("stability_*.json")]):

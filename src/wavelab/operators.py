@@ -7,7 +7,7 @@ and the tensor-product structure itself (see ``wavelab.solver.core``).
 
 import numpy as np
 
-from .errors import NumericalFailureError
+from .errors import NumericalFailureError, require
 
 MAX_DEGREE = 12
 
@@ -35,8 +35,7 @@ def gll_nodes_weights(N):
     h_m = 2 / (N (N+1) P_N(q_m)^2); the rule is exact for polynomials of
     degree <= 2N - 1.
     """
-    if not 1 <= N <= MAX_DEGREE:
-        raise ValueError(f"degree N must be in [1, {MAX_DEGREE}], got {N}")
+    require("degree", N, 1, MAX_DEGREE)
     n = N + 1
     q = -np.cos(np.pi * np.arange(n) / N)
     for _ in range(_NEWTON_MAXIT):

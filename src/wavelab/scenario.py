@@ -46,12 +46,14 @@ class Invalid(Exception):
 REQUIRED = object()  # the default of a key that must be given
 
 
-def number(interval="(-inf, inf)", whole=False):
-    """A number in an interval such as "(0, 1]", never a bool; an int if
-    ``whole``.  Open ends become the nearest float inside: inf never fits."""
-    lo, hi = (float(b) for b in interval[1:-1].split(","))
-    lo = math.nextafter(lo, math.inf) if interval[0] == "(" else lo
-    hi = math.nextafter(hi, -math.inf) if interval[-1] == ")" else hi
+def number(interval=None, whole=False):
+    """A number, never a bool; an int if ``whole``.  Any float, NaN and inf
+    included, unless an ``interval`` such as "(0, 1]" bounds it: then open
+    ends become the nearest float inside, so inf never fits."""
+    if interval:
+        lo, hi = (float(b) for b in interval[1:-1].split(","))
+        lo = math.nextafter(lo, math.inf) if interval[0] == "(" else lo
+        hi = math.nextafter(hi, -math.inf) if interval[-1] == ")" else hi
     cast, abc = (int, Integral) if whole else (float, Real)
 
     def read(value):
@@ -59,7 +61,7 @@ def number(interval="(-inf, inf)", whole=False):
         if t not in (cast, int) and (t is bool or not isinstance(value, abc)):
             raise Invalid(f"must be {'an integer' if whole else 'a number'}"
                           f", got {value!r}")
-        if not lo <= value <= hi:
+        if interval and not lo <= value <= hi:
             raise Invalid(f"must lie in {interval}, got {value!r}")
         return value if t is cast else cast(value)
     return read
@@ -178,7 +180,7 @@ def media(value):
     return (medium(value),), None
 
 
-_RANGE = list_of(number(), length=2)
+_RANGE = list_of(number("(-inf, inf)"), length=2)
 _POSITIVE = number("(0, inf)")
 _COUNT = number("[1, inf)", whole=True)
 _STRING = of_type(str, "a string")

@@ -150,8 +150,7 @@ def timestep_formula(cfl, degree, c_max, min_elem):
 
 
 def timestep(config, mesh):
-    min_elem = min(mesh.dx.min(), mesh.dy.min())
-    return timestep_formula(config.cfl, mesh.N, mesh.c_max, min_elem)
+    return timestep_formula(config.cfl, mesh.N, mesh.c_max, mesh.min_size)
 
 
 def rk4_step(y, dt, f, stages):
@@ -180,9 +179,9 @@ def time_grid(config, mesh):
                                  - 1e-12)))
     dt = config.final_time / n_steps
     stop = config.final_time if config.stop_time is None else config.stop_time
-    # steps taken: step k + 1 starts at k dt, which must lie before stop
-    n_run = next((k for k in range(n_steps) if k * dt >= stop - 1e-12),
-                 n_steps)
+    # steps taken: step k + 1 starts at k dt, which must lie before stop (to
+    # a relative 1e-12, so a stop at or below 1e-12 s still takes its step)
+    n_run = int(np.searchsorted(np.arange(n_steps) * dt, stop * (1 - 1e-12)))
     return dt, n_steps, np.arange(n_run + 1) * dt
 
 
@@ -274,14 +273,9 @@ class RunRecord:
 
 
 def _receiver_stencils(mesh, locations):
-    out = []
-    for (x, y) in locations:
-        kx, ly = mesh.element_of_point(x, y)
-        q = 2.0 * (x - mesh.x_edges[kx]) / mesh.dx[kx] - 1.0
-        r = 2.0 * (y - mesh.y_edges[ly]) / mesh.dy[ly] - 1.0
-        out.append((kx, ly, lagrange_eval(mesh.ref.nodes, q),
-                    lagrange_eval(mesh.ref.nodes, r)))
-    return out
+    nodes = mesh.ref.nodes
+    return [(kx, ly, lagrange_eval(nodes, q), lagrange_eval(nodes, r))
+            for kx, ly, q, r in (mesh.locate(x, y) for x, y in locations)]
 
 
 def run(mesh, config, initial=None, receivers=(), snapshot_times=(),

@@ -66,38 +66,58 @@ def reflection_coefficients(boundary_r):
 
 
 class Mesh:
-    """K x L grid of affine elements holding media, face pairs and damping.
+    """K x L grid of square elements holding media, face pairs and damping.
 
-    Element (kx, ly) spans [x_edges[kx], x_edges[kx+1]] x
-    [y_edges[ly], y_edges[ly+1]] and holds ``media[index[kx, ly]]``.  Nodal
-    data arrays are indexed (kx, ly, field, i, j) with i the x-node and j
-    the y-node.  The layers lie outside ``interior_box`` (x0, x1, y0, y1),
+    The interior box [x0, x1] x [y0, y1], grown by ``layers``, is tiled with
+    squares of side ``element_size`` as ``layout`` counts them; the outer
+    edges equal its ``extents`` (x0, x1, y0, y1 of the grown box) exactly,
+    so the last element on each axis may differ from the others in its last
+    bits.  Element (kx, ly) spans [x_edges[kx], x_edges[kx+1]] x
+    [y_edges[ly], y_edges[ly+1]] and holds ``media[index[kx, ly]]``.
+    ``media`` holds one medium, or two of one system split at ``interface``
+    (axis "x" or "y", position on an element edge): an element whose center
+    lies at or beyond the position holds ``media[1]``, the others
+    ``media[0]``.  Nodal data arrays are indexed (kx, ly, field, i, j) with i
+    the x-node and j the y-node.  The layers lie outside ``interior_box``,
     whose elements are kx0 <= kx < kx1, ly0 <= ly < ly1 for ``interior``
-    (kx0, kx1, ly0, ly1).
+    (kx0, kx1, ly0, ly1).  Each error names the scenario key of its rule.
     """
 
-    def __init__(self, x_edges, y_edges, degree, media, index, boundary_r,
-                 layers, interior_box, interior):
-        self.x_edges = np.asarray(x_edges, dtype=float)
-        self.y_edges = np.asarray(y_edges, dtype=float)
-        self.K = len(self.x_edges) - 1
-        self.L = len(self.y_edges) - 1
+    def __init__(self, x0, x1, y0, y1, element_size, degree, media,
+                 boundary_r, layers=Layers(), interface=None):
+        if len(media) != (1 if interface is None else 2) or len(
+                {is_acoustic(med) for med in media}) > 1:
+            raise ConfigurationError("medium: give one medium, or two of one "
+                                     "system (acoustic or elastic) and an "
+                                     "interface")
+        self.interior_box = (x0, x1, y0, y1)
+        self.K, self.L, self.extents, self.interior = layout(
+            self.interior_box, element_size, layers.sides, layers.width,
+            interface)
+        mx0, mx1, my0, my1 = self.extents
+        self.x_edges, self.y_edges = (
+            np.append(lo + element_size * np.arange(count), hi)
+            for lo, hi, count in ((mx0, mx1, self.K), (my0, my1, self.L)))
+        index = np.zeros((self.K, self.L), dtype=int)
+        if interface is not None:
+            axis, position = interface
+            edges = self.x_edges[:, None] if axis == "x" else self.y_edges
+            index[:] = 0.5 * (edges[:-1] + edges[1:]) >= position
         self.ref = ReferenceElement1D(degree)
         self.N = degree
         self.n = degree + 1
         self.boundary_r = reflection_coefficients(boundary_r)
-        self.interior_box, self.interior = tuple(interior_box), interior
 
-        self.dx = np.diff(self.x_edges)
-        self.dy = np.diff(self.y_edges)
-        self.qx = 2.0 / self.dx
-        self.ry = 2.0 / self.dy
-        self.jac = 0.25 * np.outer(self.dx, self.dy)
+        dx, dy = np.diff(self.x_edges), np.diff(self.y_edges)
+        self.min_size = min(dx.min(), dy.min())  # sets the time step
+        self.qx = 2.0 / dx
+        self.ry = 2.0 / dy
+        self.jac = 0.25 * np.outer(dx, dy)
 
         q = self.ref.nodes
         # nodal coordinates, (K, n) and (L, n)
-        self.xn = self.x_edges[:-1, None] + 0.5 * self.dx[:, None] * (1.0 + q)
-        self.yn = self.y_edges[:-1, None] + 0.5 * self.dy[:, None] * (1.0 + q)
+        self.xn = self.x_edges[:-1, None] + 0.5 * dx[:, None] * (1.0 + q)
+        self.yn = self.y_edges[:-1, None] + 0.5 * dy[:, None] * (1.0 + q)
 
         self._install_media(media, index)
         self._install_damping(layers)
@@ -191,20 +211,20 @@ class Mesh:
 
     # -- geometry helpers ---------------------------------------------------
 
-    @property
-    def extents(self):
-        return (self.x_edges[0], self.x_edges[-1],
-                self.y_edges[0], self.y_edges[-1])
-
-    def element_of_point(self, x, y):
-        x0, x1, y0, y1 = self.extents
-        if not (x0 <= x <= x1 and y0 <= y <= y1):
-            raise ValueError(f"point ({x}, {y}) is outside the mesh")
-        kx = min(int(np.searchsorted(self.x_edges, x, side="right")) - 1,
-                 self.K - 1)
-        ly = min(int(np.searchsorted(self.y_edges, y, side="right")) - 1,
-                 self.L - 1)
-        return max(kx, 0), max(ly, 0)
+    def locate(self, x, y):
+        """(kx, ly, q, r): the element holding the point (x, y), the higher
+        one on a shared edge, and the point's reference coordinates (q, r)
+        in it.  Raises ValueError for a point outside the mesh."""
+        found = []
+        for v, edges in ((x, self.x_edges), (y, self.y_edges)):
+            if not edges[0] <= v <= edges[-1]:
+                raise ValueError(f"point ({x}, {y}) is outside the mesh")
+            k = min(int(np.searchsorted(edges, v, side="right")) - 1,
+                    len(edges) - 2)
+            found.append((k, 2.0 * (v - edges[k]) / (edges[k + 1] - edges[k])
+                          - 1.0))
+        (kx, q), (ly, r) = found
+        return kx, ly, q, r
 
     def node_coordinates(self):
         """Full nodal coordinate arrays of shape (K, L, n, n)."""
@@ -215,32 +235,4 @@ class Mesh:
         return X, Y
 
 
-def build_mesh(x0, x1, y0, y1, element_size, degree, media, boundary_r,
-               layers=Layers(), interface=None):
-    """Tile the interior box [x0,x1] x [y0,y1], grown by ``layers``, with
-    square elements laid out by ``layout``.
-
-    ``media`` holds one medium, or two of one system split at ``interface``
-    (axis "x" or "y", position on an element edge): an element whose center
-    lies at or beyond the position holds ``media[1]``, the others
-    ``media[0]``.  Each error names the scenario key of its rule.
-    """
-    if len(media) != (1 if interface is None else 2) or len(
-            {is_acoustic(med) for med in media}) > 1:
-        raise ConfigurationError("medium: give one medium, or two of one "
-                                 "system (acoustic or elastic) and an "
-                                 "interface")
-    K, L, (mx0, mx1, my0, my1), interior = layout(
-        (x0, x1, y0, y1), element_size, layers.sides, layers.width, interface)
-    x_edges = mx0 + element_size * np.arange(K + 1)
-    y_edges = my0 + element_size * np.arange(L + 1)
-    # exact tiling of the stated extents
-    x_edges[-1] = mx1
-    y_edges[-1] = my1
-    index = np.zeros((K, L), dtype=int)
-    if interface is not None:
-        axis, position = interface
-        edges = x_edges[:, None] if axis == "x" else y_edges
-        index[:] = 0.5 * (edges[:-1] + edges[1:]) >= position
-    return Mesh(x_edges, y_edges, degree, media, index, boundary_r, layers,
-                (x0, x1, y0, y1), interior)
+build_mesh = Mesh

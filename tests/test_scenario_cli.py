@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import re
 import subprocess
@@ -798,21 +799,121 @@ PROBES = {
     "pml-exponent-zero": (_set(["pml", "exponent"], 0), "pml.exponent"),
     "boundaries-east-1.5": (_set(["boundaries", "east"], 1.5),
                             "boundaries.east"),
+    # NaN and inf reach the object that owns the key's range, whose rule the
+    # message states (a third item: the message after the key)
+    "cfl-nan": (_set(["cfl"], math.nan), "cfl", "must lie in (0, 1], got nan"),
+    "theta-y-inf": (_set(["theta", "y"], math.inf), "theta.y",
+                    "must lie in [0, 1], got inf"),
+    "pml-alpha-nan": (_set(["pml", "alpha"], math.nan), "pml.alpha",
+                      "must lie in [0, inf), got nan"),
+    "pml-d0-inf": (_set(["pml", "d0"], math.inf), "pml.d0",
+                   "must lie in [0, inf), got inf"),
+    "pml-width-nan": (_set(["pml", "width"], math.nan), "pml.width",
+                      "layer width nan is not a positive multiple"),
+    "interface-inf": (_set(["medium"], {
+        "two": ["acoustic-484", "acoustic-484"],
+        "interface": {"axis": "y", "position": math.inf}}),
+        "medium.interface.position", "y = inf is not on an"),
+    "boundaries-west-nan": (_set(["boundaries", "west"], math.nan),
+                            "boundaries.west",
+                            "must lie in [-1, 1], got nan"),
+    "boundaries-north-inf": (_set(["boundaries", "north"], math.inf),
+                             "boundaries.north",
+                             "must lie in [-1, 1], got inf"),
+    "acoustic-rho-nan": (_set(["medium"], {
+        "type": "acoustic", "rho": math.nan, "kappa": 1.0}), "medium",
+        "acoustic medium needs rho > 0"),
+    "acoustic-kappa-inf": (_set(["medium"], {
+        "type": "acoustic", "rho": 1.0, "kappa": math.inf}), "medium",
+        "wave speed c_p = inf"),
 }
 
 
 @pytest.mark.parametrize("probe", sorted(PROBES))
 def test_malformed_scenario_names_its_key(probe, tmp_path, capsys):
-    mutate, key = PROBES[probe]
+    mutate, key, *rule = PROBES[probe]
+    message = f"{key}: {''.join(rule)}"
     data = copy.deepcopy(scenario.load_preset("acoustic-waveguide").raw)
     mutate(data)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a rejection prints no warning
-        with pytest.raises(ConfigurationError, match=f"^{re.escape(key)}: "):
+        with pytest.raises(ConfigurationError,
+                           match=f"^{re.escape(message)}"):
             scenario.from_dict(data)
     path = write_scenario(tmp_path, data)
     assert cli.main(["run", path]) == cli.EXIT_CONFIG
-    assert f"configuration error: {key}: " in capsys.readouterr().err
+    assert f"configuration error: {message}" in capsys.readouterr().err
+
+
+def _numbers(node, path=()):
+    """(key path, value) of every number in a JSON tree, bools aside."""
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path, node
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _numbers(child, path + (key,))
+
+
+def _members(node, path=()):
+    """The key path of every member of every object in a JSON tree."""
+    for key, child in node.items():
+        yield path + (key,)
+        if isinstance(child, dict):
+            yield from _members(child, path + (key,))
+
+
+@pytest.mark.parametrize("medium", [
+    {"type": "acoustic", "rho": 1.0, "kappa": 1.0}, _ELASTIC],
+    ids=["acoustic", "elastic"])
+def test_every_number_rejects_nan_and_inf_naming_its_key(medium, tmp_path,
+                                                        capsys):
+    """NaN, inf and -inf anywhere a scenario holds a number exit 2 with a
+    message that names the key, or for a medium's parameter the medium: the
+    row or the object that owns the key's range rejects them.  The scenario
+    sets every key that SCHEMA reads, so a key added without an owner fails
+    here."""
+    full = tiny_scenario_dict(
+        medium={"two": [medium, dict(medium)],
+                "interface": {"axis": "x", "position": 1.0}},
+        pml={"sides": ["east"], "width": 1.0, "tol": 1e-3, "alpha": 0.1,
+             "gamma": 1.5, "exponent": 3, "d0": 2.0},
+        theta={"x": 0.5, "y": 1.0}, cfl=0.5, stop_time=0.4,
+        initial={"type": "gaussian-pulse", "center": [1.0, 1.0],
+                 "width_sq": 0.3, "nx": 1, "ny": 1},
+        record_fields=False, history_stride=2, divergence_factor=1e4,
+        output_dir=str(tmp_path / "out"))
+    scenario.from_dict(full)
+    assert set(_members(scenario.SCHEMA(full))) <= set(_members(full))
+    for path, _ in _numbers(full):
+        key = "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                      for k in path)[1:]
+        for bad in (math.nan, math.inf, -math.inf):
+            data = copy.deepcopy(full)
+            _set(list(path), bad)(data)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConfigurationError) as exc:
+                    scenario.from_dict(data)
+            named = str(exc.value).split(": ")[0]
+            assert key == named or key.startswith(
+                (named + ".", named + "[")), str(exc.value)
+            assert cli.main(["run", write_scenario(tmp_path, data)]) == \
+                cli.EXIT_CONFIG
+            assert f"configuration error: {named}: " in \
+                capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_final_time_below_1e_12_takes_its_step(tmp_path, capsys):
+    """The stop tolerance is relative: a run to 1e-300 s takes one step."""
+    out = tmp_path / "out"
+    assert cli.main(["run", "acoustic-waveguide", "--final-time", "1e-300",
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert "completed acoustic-waveguide: 1 steps" in capsys.readouterr().out
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["n_steps"] == meta["steps_taken"] == 1
+    assert len((out / "series.csv").read_text().splitlines()) == 3
 
 
 def test_cli_run_reports_the_steps_it_ran(tmp_path, capsys):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from wavelab import cli, diagnostics, media, pml, scenario
@@ -12,6 +13,7 @@ from wavelab.solver import (SolverConfig, advance, build_mesh, rhs, rk4_step,
                             run, timestep, timestep_formula)
 from wavelab.solver.core import (gaussian_pulse, split, standing_mode,
                                  zero_state)
+from wavelab.solver.mesh import layout
 
 R_CLOSED = {"west": 1.0, "east": 1.0, "south": 1.0, "north": 1.0}
 ACOUSTIC = media.preset("acoustic-484")
@@ -121,6 +123,62 @@ def test_mesh_index_puts_media_1_at_or_beyond_the_interface(axis, position):
     P = [med.coefficient_matrices().P for med in mesh.media]
     assert np.array_equal(mesh.Pmat,
                           np.where(beyond[..., None, None], P[1], P[0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_mesh_agrees_with_its_layout(data):
+    """Over random valid boxes (typed as decimals, so the edges need not sum
+    to them exactly), sizes, layer sides and interfaces: the mesh's counts,
+    extents and interior are layout's, its outer edges are the extents
+    exactly, media[1] lies at or beyond the interface, and locate finds the
+    highest element whose low edge is at or below a point."""
+    size = data.draw(st.sampled_from([0.1, 0.2, 0.25, 0.3, 0.7, 1.5, 5.0]))
+    box = []
+    for _ in "xy":
+        lo = data.draw(st.integers(-200, 200)) / 20
+        box += [lo, round(lo + data.draw(st.integers(1, 6)) * size, 9)]
+    sides = tuple(data.draw(st.sets(st.sampled_from(pml.SIDES))))
+    layers = pml.Layers(sides, data.draw(st.integers(1, 3)) * size)
+    K, L, extents, interior = layout(box, size, sides, layers.width)
+    interface, media_ = None, (ACOUSTIC,)
+    if data.draw(st.booleans()):
+        axis = data.draw(st.sampled_from("xy"))
+        count, lo = (K, extents[0]) if axis == "x" else (L, extents[2])
+        j = data.draw(st.integers(0, count - 1))  # below the far extent
+        interface = (axis, lo + j * size)
+        media_ = (ACOUSTIC, media.AcousticMedium(rho=3.0, kappa=2.0))
+    mesh = build_mesh(*box, size, 2, media_, R_CLOSED, layers=layers,
+                      interface=interface)
+    assert (mesh.K, mesh.L, mesh.extents, mesh.interior) == (
+        K, L, extents, interior)
+    assert (mesh.x_edges[0], mesh.x_edges[-1], mesh.y_edges[0],
+            mesh.y_edges[-1]) == extents
+    assert mesh.x_edges.shape == (K + 1,) and mesh.y_edges.shape == (L + 1,)
+    if interface is None:
+        assert not mesh.index.any()
+    else:
+        beyond = np.arange(count) >= j
+        assert np.array_equal(mesh.index, np.broadcast_to(
+            beyond[:, None] if axis == "x" else beyond, (K, L)))
+    # a point anywhere in the mesh, or on any edge, the outer ones included
+    point = []
+    for edges in (mesh.x_edges, mesh.y_edges):
+        point.append(data.draw(
+            st.floats(edges[0], edges[-1]) | st.sampled_from(list(edges))))
+    kx, ly, q, r = mesh.locate(*point)
+    for v, k, ref, edges in zip(point, (kx, ly), (q, r),
+                                (mesh.x_edges, mesh.y_edges)):
+        assert k == max(i for i in range(len(edges) - 1) if edges[i] <= v)
+        assert edges[k] <= v <= edges[k + 1]
+        assert -1.0 <= ref <= 1.0
+        assert abs(edges[k] + 0.5 * (ref + 1.0) * (edges[k + 1] - edges[k])
+                   - v) <= 1e-12 * max(1.0, abs(v))
+    x0, x1, y0, y1 = extents
+    for outside in ((np.nextafter(x1, np.inf), y0),
+                    (x0, np.nextafter(y0, -np.inf))):
+        with pytest.raises(ValueError, match="outside the mesh"):
+            mesh.locate(*outside)
 
 
 def smooth_random_state(mesh, seed=0, amplitude=1.0):
