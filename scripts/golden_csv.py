@@ -26,11 +26,25 @@ under ``analysis-<medium>``.  ``cli.convergence_study`` on degrees 2 and 3
 at 5 and 10 elements per side, whose element edges at h = 0.2 and 0.1 do not
 sum exactly to the box, hashes its ``convergence.csv``.  Output lines are
 ``<sha256>  <scenario>/<file>``, sorted.
+
+With ``--summary`` it prints, instead of hashes, the JSON object that
+``tests/golden_summary.json`` holds: per file and per column (per key of a
+JSON artifact), the largest |x| and the L2 norm of the finite values and the
+count of the others, or a non-numeric value as it is.  Hashes show any
+change; the summaries, which ``tests/test_golden.py`` checks to 1e-10 of a
+column's largest |x|, show how large it is, and hold across BLAS builds:
+
+    PYTHONPATH=src python scripts/golden_csv.py --summary \
+        > tests/golden_summary.json
 """
 
 import hashlib
+import json
+import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from wavelab import cli, scenario
 
@@ -86,34 +100,62 @@ def scenarios():
     return out
 
 
+def write_outputs(root):
+    """Run every case into its own directory under ``root``; returns the
+    checked files as ``{"<case>/<file>": path}``."""
+    outs = []
+    for sc in scenarios():
+        outs.append(root / sc.name)
+        cli.run_scenario_with_artifacts(sc, outs[-1])
+    for name, base in (
+            ("abc-comparison", scenario.load_preset("acoustic-waveguide")),
+            ("abc-comparison-all-sides", _variant(
+                "all-sides-acoustic-484", "acoustic-484",
+                ["west", "east", "south", "north"], gamma=1.5,
+                theta={"x": 0.5, "y": 0.25}))):
+        outs.append(root / name)
+        cli.compare_abc(scenario.with_overrides(
+            base, final_time=ABC_TIME[name]), outs[-1])
+    for name in ANALYSIS_MEDIA:
+        outs.append(root / f"analysis-{name}")
+        cli.write_analysis_artifacts(name, "both", ANALYSIS_DIRECTIONS,
+                                     outs[-1])
+    outs.append(root / "convergence")
+    cli.convergence_study(**CONVERGENCE, out_dir=outs[-1])
+    return {f"{out.name}/{path.name}": path for out in outs
+            for path in [*out.glob("*.csv"), *out.glob("stability_*.json")]}
+
+
+def _stats(values):
+    x = np.asarray(values, dtype=float).ravel()
+    finite = x[np.isfinite(x)]
+    return [float(np.abs(finite).max(initial=0.0)),
+            float(np.sqrt(np.sum(finite * finite))), int(x.size - finite.size)]
+
+
+def summary(path):
+    """{column: [largest |x|, L2, count of NaN and inf]} of a CSV body, or
+    of the numeric keys of a JSON artifact, whose other keys keep their
+    value."""
+    if path.suffix == ".json":
+        return {key: _stats(value) if isinstance(value, (int, float, list))
+                and not isinstance(value, bool) else value
+                for key, value in json.loads(path.read_text()).items()}
+    header = path.read_text().splitlines()[0].split(",")
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return {name: _stats(table[:, j]) for j, name in enumerate(header)}
+
+
 def main():
-    lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        outs = []
-        for sc in scenarios():
-            outs.append(Path(tmp) / sc.name)
-            cli.run_scenario_with_artifacts(sc, outs[-1])
-        for name, base in (
-                ("abc-comparison", scenario.load_preset("acoustic-waveguide")),
-                ("abc-comparison-all-sides", _variant(
-                    "all-sides-acoustic-484", "acoustic-484",
-                    ["west", "east", "south", "north"], gamma=1.5,
-                    theta={"x": 0.5, "y": 0.25}))):
-            outs.append(Path(tmp) / name)
-            cli.compare_abc(scenario.with_overrides(
-                base, final_time=ABC_TIME[name]), outs[-1])
-        for name in ANALYSIS_MEDIA:
-            outs.append(Path(tmp) / f"analysis-{name}")
-            cli.write_analysis_artifacts(name, "both", ANALYSIS_DIRECTIONS,
-                                         outs[-1])
-        outs.append(Path(tmp) / "convergence")
-        cli.convergence_study(**CONVERGENCE, out_dir=outs[-1])
-        for out in outs:
-            for path in sorted([*out.glob("*.csv"),
-                                *out.glob("stability_*.json")]):
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                lines.append(f"{digest}  {out.name}/{path.name}")
-    print("\n".join(sorted(lines, key=lambda s: s.split("  ")[1])))
+        files = write_outputs(Path(tmp))
+        if "--summary" in sys.argv[1:]:
+            print(json.dumps({name: summary(files[name])
+                              for name in sorted(files)}, indent=1))
+        else:
+            print("\n".join(
+                f"{hashlib.sha256(files[name].read_bytes()).hexdigest()}  "
+                f"{name}" for name in sorted(files)))
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from . import pml as pml_mod
 from .errors import ConfigurationError, InvalidMediumError
 from .operators import MAX_DEGREE
 from .solver import SolverConfig, build_mesh, timestep_formula
-from .solver.mesh import layout, reflection_coefficients
+from .solver.mesh import inside, layout, reflection_coefficients
 
 SCHEMA_VERSION = 1
 
@@ -300,7 +300,7 @@ def from_dict(data):
             f"final_time: {sc.final_time} takes {steps:.3g} steps of "
             f"{dt:.3g} s, more than {MAX_STEPS:.0e}")
     for i, (rx, ry) in enumerate(sc.receivers):
-        if not (mx0 <= rx <= mx1 and my0 <= ry <= my1):
+        if not (inside(rx, mx0, mx1, size) and inside(ry, my0, my1, size)):
             raise ConfigurationError(
                 f"receivers[{i}]: ({rx}, {ry}) is outside the mesh")
     return sc

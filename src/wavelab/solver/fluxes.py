@@ -8,15 +8,17 @@ s = A_n[v, q] of the face-normal coefficient matrix: -1 for acoustics, +1
 for elasticity.  Along an axis, q - s Z v travels to higher and q + s Z v to
 lower coordinates (p +- Z v_n for acoustics, T -+ Z v for elasticity).
 
-At every face a single-valued "hat" state satisfies the interface (or
-boundary) condition exactly and preserves each side's outgoing
-characteristic.  An element receives FL = +A_n (hat - trace) on its low face
-and FR = -A_n (hat - trace) on its high face: row q gets +-s (v_hat - v),
-row v +-s (q_hat - q).  Fluctuations vanish when the traces satisfy the
+At every face a single-valued "hat" state satisfies the interface condition
+exactly and preserves each side's outgoing characteristic.  A wall with
+reflection coefficient r is a face to a mirror neighbour, which has the
+element's own impedance and the trace (-r q, r v), so that w_in = -r w_out.
+An element receives FL = +A_n (hat - trace) on its low face and FR = -A_n
+(hat - trace) on its high face: row q gets +-s (v_hat - v), row v
++-s (q_hat - q).  Fluctuations vanish when the traces satisfy the
 conditions and dissipate energy for positive impedances.  Products with s
 are exact, and s (q_R - q_L) is the ordered difference ``lead - lag``, so
-each system rounds as its own closed form does.  Both hat states are linear,
-and the mesh evaluates them once on unit traces into maps (``face_maps``).
+each system rounds as its own closed form does.  The hat state is linear,
+and the mesh evaluates it once on unit traces into maps (``face_maps``).
 """
 
 import numpy as np
@@ -30,15 +32,6 @@ def hat_state(s, q_L, v_L, Z_L, q_R, v_R, Z_R):
     v_hat = (Z_L * v_L + Z_R * v_R + lead - lag) / (Z_L + Z_R)
     q_hat = q_L + (s * Z_L) * (v_hat - v_L)
     return q_hat, v_hat
-
-
-def boundary_hat(q, v, z, r):
-    """Boundary state satisfying (1-r)/2 z v + (1+r)/2 q = 0 while
-    preserving the outgoing characteristic q - z v, where z = o s Z is the
-    impedance signed by the outward normal o (+1 on a high face, -1 on a
-    low one)."""
-    w = q - z * v
-    return 0.5 * (1.0 - r) * w, -0.5 * (1.0 + r) * w / z
 
 
 def face_maps(pairs, m):
@@ -59,19 +52,6 @@ def face_maps(pairs, m):
     return maps
 
 
-def boundary_map(pairs, m, r, outward):
-    """Map of boundary traces to their fluctuations -o A_n (hat - trace) for
-    outward normal o = ``outward`` (+-1) and reflection coefficient r;
-    ``pairs`` holds (q, v, s, Z) per pair, the map has Z's shape + (m, m)."""
-    q1, v1 = np.eye(2)
-    F = np.zeros(pairs[0][3].shape + (m, m))
-    for q, v, s, Z in pairs:
-        q_hat, v_hat = boundary_hat(q1, v1, (outward * s) * Z[..., None], r)
-        F[..., [[q], [v]], [q, v]] = (-outward * s) * np.stack(
-            [v_hat - v1, q_hat - q1], axis=-2)
-    return F
-
-
 def face_fluctuations(maps, lo, hi):
     """Lifted fluctuations (FL, FR) of every element's low and high faces
     from its face traces lo and hi, shaped (elements along the axis, across
@@ -83,7 +63,7 @@ def face_fluctuations(maps, lo, hi):
     return FL, FR
 
 
-# perfbench/tracer.py rebinds these older per-system names to time the face
-# kernel and the boundary map builds; the solver calls the elastic names.
+# perfbench/tracer.py rebinds these older names: the solver calls the elastic
+# face name, and no code calls the boundary names: walls have no kernel.
 acoustic_face_fluctuations = elastic_face_fluctuations = face_fluctuations
-acoustic_boundary_fluctuation = elastic_boundary_fluctuation = boundary_map
+acoustic_boundary_fluctuation = elastic_boundary_fluctuation = face_maps

@@ -20,6 +20,12 @@ def element_count(span, size):
     return n if abs(ratio - n) <= 1e-9 * max(1.0, abs(ratio)) else None
 
 
+def inside(v, lo, hi, size):
+    """lo <= v <= hi, to 1e-9 of an element of ``size`` or of hi - lo."""
+    tol = 1e-9 * max(size, hi - lo)
+    return lo - tol <= v <= hi + tol
+
+
 def layout(box, element_size, sides=(), width=0.0, interface=None):
     """The squares of side ``element_size`` tiling ``box`` (x0, x1, y0, y1)
     grown by layers of ``width`` beyond the named ``sides``, as counts (K, L,
@@ -43,15 +49,13 @@ def layout(box, element_size, sides=(), width=0.0, interface=None):
                                  f"positive multiple of {element_size}")
     w, e, s, n = (cells if side in sides else 0 for side in SIDES)
     K, L = w + counts[0] + e, s + counts[1] + n
-    x0, x1, y0, y1 = box
-    grow = {side: width if side in sides else 0.0 for side in SIDES}
-    extents = (x0 - grow["west"], x1 + grow["east"], y0 - grow["south"],
-               y1 + grow["north"])
+    extents = tuple(edge + sign * (width if side in sides else 0.0)
+                    for edge, side, sign in zip(box, SIDES, (-1, 1, -1, 1)))
     if interface is not None:
         axis, position = interface
-        lo, hi = extents[:2] if axis == "x" else extents[2:]
-        if not (axis in ("x", "y") and lo <= position <= hi and element_count(
-                position - lo, element_size) is not None):
+        lo, count = (extents[0], K) if axis == "x" else (extents[2], L)
+        if not (axis in ("x", "y") and element_count(
+                position - lo, element_size) in range(count + 1)):
             raise ConfigurationError(
                 f"medium.interface.position: {axis} = {position} is not on "
                 "an x or y element edge")
@@ -66,7 +70,7 @@ def reflection_coefficients(boundary_r):
 
 
 class Mesh:
-    """K x L grid of square elements holding media, face pairs and damping.
+    """K x L grid of square elements holding media, damping and face maps.
 
     The interior box [x0, x1] x [y0, y1], grown by ``layers``, is tiled with
     squares of side ``element_size`` as ``layout`` counts them; the outer
@@ -90,7 +94,7 @@ class Mesh:
             raise ConfigurationError("medium: give one medium, or two of one "
                                      "system (acoustic or elastic) and an "
                                      "interface")
-        self.interior_box = (x0, x1, y0, y1)
+        self.interior_box, self.element_size = (x0, x1, y0, y1), element_size
         self.K, self.L, self.extents, self.interior = layout(
             self.interior_box, element_size, layers.sides, layers.width,
             interface)
@@ -147,14 +151,6 @@ class Mesh:
         self.A_y = cms[0].A_y
         self.Pmat = np.array([cm.P for cm in cms])[index]
         self.Pinv = np.array([np.linalg.inv(cm.P) for cm in cms])[index]
-        # per axis, the faces' characteristic pairs (q, v, s, Z): indices from
-        # the medium, s = A_n[v, q] and Z per element in core._along's order
-        self.face_pairs = {}
-        for axis, A, ix in (("x", self.A_x, index), ("y", self.A_y, index.T)):
-            pairs = [med.face_pairs(axis) for med in self.media]
-            self.face_pairs[axis] = tuple(
-                (q, v, A[v, q], np.array([p[i][2] for p in pairs])[ix])
-                for i, (q, v, _) in enumerate(pairs[0]))
         # the time step follows the media the elements hold
         self.c_max = max_wave_speed([med for i, med in enumerate(self.media)
                                      if (index == i).any()])
@@ -193,20 +189,29 @@ class Mesh:
     @cached_property
     def lift_maps(self):
         """Per axis, the maps (BL, NL, BR, NR) of ``fluxes.face_fluctuations``
-        in the order of ``core._along``, with the boundary faces, all pairs
-        and the lift (2 / element size) / end weight folded in."""
+        in the order of ``core._along``, with all characteristic pairs and
+        the lift (2 / element size) / end weight folded in.  A wall is a face
+        to a mirror neighbour, which has the element's own impedance and the
+        trace G (q, v) = (-r q, r v): its map is BL + NL G or BR + NR G."""
         h, maps = self.ref.weights, {}
-        for axis, scale, sides in (("x", self.qx, SIDES[:2]),
-                                   ("y", self.ry, SIDES[2:])):
-            pairs = self.face_pairs[axis]
-            BL, NL, BR, NR = fluxes.face_maps(
-                [(q, v, s, Z[:-1], Z[1:]) for q, v, s, Z in pairs], self.m)
-            low, high = (fluxes.elastic_boundary_fluctuation(
-                pairs, self.m, self.boundary_r[side], outward)
-                for side, outward in zip(sides, (-1.0, 1.0)))
+        for axis, A, index, scale, sides in (
+                ("x", self.A_x, self.index, self.qx, SIDES[:2]),
+                ("y", self.A_y, self.index.T, self.ry, SIDES[2:])):
+            # the medium on each side of the faces along the axis, walls
+            # included, and each pair (q, v, s = A_n[v, q], Z) of the media
+            medium = np.pad(index, ((1, 1), (0, 0)), "edge")
+            per_medium = [med.face_pairs(axis) for med in self.media]
+            pairs, G = [], np.zeros((self.m, self.m))
+            for i, (q, v, _) in enumerate(per_medium[0]):
+                Z = np.array([p[i][2] for p in per_medium])[medium]
+                pairs.append((q, v, A[v, q], Z[:-1], Z[1:]))
+                G[q, q], G[v, v] = -1.0, 1.0
+            BL, NL, BR, NR = fluxes.face_maps(pairs, self.m)
+            BL[0] += NL[0] @ (self.boundary_r[sides[0]] * G)
+            BR[-1] += NR[-1] @ (self.boundary_r[sides[1]] * G)
             lo, hi = (scale[:, None, None, None] / w for w in (h[0], h[-1]))
-            maps[axis] = (lo * np.concatenate([low[:1], BL]), lo[1:] * NL,
-                          hi * np.concatenate([BR, high[-1:]]), hi[:-1] * NR)
+            maps[axis] = (lo * BL[:-1], lo[1:] * NL[1:-1], hi * BR[1:],
+                          hi[:-1] * NR[1:-1])
         return maps
 
     # -- geometry helpers ---------------------------------------------------
@@ -214,16 +219,16 @@ class Mesh:
     def locate(self, x, y):
         """(kx, ly, q, r): the element holding the point (x, y), the higher
         one on a shared edge, and the point's reference coordinates (q, r)
-        in it.  Raises ValueError for a point outside the mesh."""
+        in it.  A point past an outer edge by no more than ``inside`` allows
+        is taken onto that edge; one further out raises ValueError."""
         found = []
         for v, edges in ((x, self.x_edges), (y, self.y_edges)):
-            if not edges[0] <= v <= edges[-1]:
+            if not inside(v, edges[0], edges[-1], self.element_size):
                 raise ValueError(f"point ({x}, {y}) is outside the mesh")
-            k = min(int(np.searchsorted(edges, v, side="right")) - 1,
-                    len(edges) - 2)
-            found.append((k, 2.0 * (v - edges[k]) / (edges[k + 1] - edges[k])
-                          - 1.0))
-        (kx, q), (ly, r) = found
+            v = min(max(v, edges[0]), edges[-1])
+            k = int(np.searchsorted(edges[1:-1], v, side="right"))
+            found += k, 2.0 * (v - edges[k]) / (edges[k + 1] - edges[k]) - 1.0
+        kx, q, ly, r = found
         return kx, ly, q, r
 
     def node_coordinates(self):

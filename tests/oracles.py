@@ -1,12 +1,12 @@
 """Reference computations that only the tests use: the SBP identity of the
 reference element, the element kernels of the solver as einsum contractions,
-the face fluctuations one characteristic pair at a time and the right-hand
-side built on them, the RK4 step with each stage in its own vector, the
-complex stretching metric of the PML, the slowest elastic wave speed, the
-per-direction plane-wave analysis that ``wavelab.analysis.branches``
-batches, the exact group velocity, the search that derives a medium
-violating the geometric stability condition, and the interior PML error of
-two recorded field histories."""
+the face and wall fluctuations one characteristic pair at a time, with the
+wall's boundary hat state, and the right-hand side built on them, the RK4
+step with each stage in its own vector, the complex stretching metric of the
+PML, the slowest elastic wave speed, the per-direction plane-wave analysis
+that ``wavelab.analysis.branches`` batches, the exact group velocity, the
+search that derives a medium violating the geometric stability condition,
+and the interior PML error of two recorded field histories."""
 
 import numpy as np
 
@@ -79,13 +79,23 @@ def face_fluctuations(pairs, minus, plus, FR, FL):
         np.multiply(q_hat - qp, s, out=FL[..., v, :])
 
 
+def boundary_hat(q, v, z, r):
+    """Boundary state satisfying (1-r)/2 z v + (1+r)/2 q = 0 while
+    preserving the outgoing characteristic q - z v, where z = o s Z is the
+    impedance signed by the outward normal o (+1 on a high face, -1 on a
+    low one): the wall condition that the mesh meets with a mirror
+    neighbour."""
+    w = q - z * v
+    return 0.5 * (1.0 - r) * w, -0.5 * (1.0 + r) * w / z
+
+
 def boundary_fluctuation(pairs, trace, F, r, outward):
     """Fill the pair rows of F, the fluctuation -o A_n (hat - trace) of
     boundary faces with outward normal o = ``outward`` (+1 or -1) and
     reflection coefficient r; ``pairs`` holds (q, v, s, Z) per pair."""
     for q, v, s, Z in pairs:
         qt, vt = trace[..., q, :], trace[..., v, :]
-        q_hat, v_hat = fluxes.boundary_hat(qt, vt, (outward * s) * Z, r)
+        q_hat, v_hat = boundary_hat(qt, vt, (outward * s) * Z, r)
         np.multiply(v_hat - vt, -outward * s, out=F[..., q, :])
         np.multiply(q_hat - qt, -outward * s, out=F[..., v, :])
 
@@ -94,7 +104,9 @@ def fluctuations(mesh, U, axis):
     """Lifted fluctuations H^{-1} e(-1) FL and H^{-1} e(+1) FR on the low and
     high faces of every element, each shaped like a face slice of
     ``_along(U, axis)``, one pair and one face set at a time, with the
-    impedances gathered from the media, not from ``mesh.face_pairs``."""
+    impedances gathered from the media and each wall's state from
+    ``boundary_hat``, not from a mirror neighbour as ``Mesh.lift_maps``
+    has it."""
     low, high = SIDES[:2] if axis == "x" else SIDES[2:]
     A = mesh.A_x if axis == "x" else mesh.A_y
     per_medium = [med.face_pairs(axis) for med in mesh.media]

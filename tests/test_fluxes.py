@@ -155,16 +155,36 @@ def test_boundary_hats_satisfy_condition_and_keep_outgoing():
         for s in (ACOUSTIC, ELASTIC):
             for outward in (1.0, -1.0):
                 z = outward * s * Z
-                q_hat, v_hat = fluxes.boundary_hat(q, v, z, r)
+                q_hat, v_hat = oracles.boundary_hat(q, v, z, r)
                 bc = 0.5 * (1 - r) * z * v_hat + 0.5 * (1 + r) * q_hat
                 assert bc == pytest.approx(0.0, abs=1e-12)
                 assert q_hat - z * v_hat == pytest.approx(q - z * v)
     # the signed condition is the familiar one: acoustic east (1-r)/2 Z v
     # = (1+r)/2 p, elastic east (1-r)/2 Z v = -(1+r)/2 T
-    p_hat, v_hat = fluxes.boundary_hat(1.0, 0.0, ACOUSTIC * 2.0, 0.5)
+    p_hat, v_hat = oracles.boundary_hat(1.0, 0.0, ACOUSTIC * 2.0, 0.5)
     assert 0.25 * 2.0 * v_hat == pytest.approx(0.75 * p_hat)
-    T_hat, v_hat = fluxes.boundary_hat(1.0, 0.0, ELASTIC * 2.0, 0.5)
+    T_hat, v_hat = oracles.boundary_hat(1.0, 0.0, ELASTIC * 2.0, 0.5)
     assert 0.25 * 2.0 * v_hat == pytest.approx(-0.75 * T_hat)
+
+
+def test_a_mirror_neighbour_gives_the_boundary_hat():
+    """A wall is a face to a mirror neighbour with the element's own
+    impedance and the trace (-r q, r v): on the low face (outward -1) the
+    neighbour is the minus side, on the high face (outward +1) the plus
+    side, and the hat state equals the oracle's boundary hat."""
+    rng = np.random.default_rng(12)
+    for r in np.linspace(-1.0, 1.0, 21):
+        q, v = rng.normal(size=2)
+        Z = rng.uniform(0.5, 4.0)
+        for s in (ACOUSTIC, ELASTIC):
+            for outward in (1.0, -1.0):
+                own, ghost = (q, v, Z), (-r * q, r * v, Z)
+                minus, plus = (own, ghost) if outward > 0 else (ghost, own)
+                got = fluxes.hat_state(s, *minus, *plus)
+                want = oracles.boundary_hat(q, v, outward * s * Z, r)
+                scale = abs(q) + Z * abs(v)  # of q; of v, scale / Z
+                for g, w, unit in zip(got, want, (1.0, Z)):
+                    assert abs(g - w) * unit <= 1e-15 * scale
 
 
 def test_face_fluctuations_vanish_for_continuous_traces():
@@ -229,7 +249,7 @@ def test_fluctuations_are_the_coefficient_matrix_times_the_jump(preset,
         F = boundary_F(pairs, Um, r, outward)
         hat = Um.copy()
         for q, v, s, Z in pairs:
-            hat[:, q], hat[:, v] = fluxes.boundary_hat(
+            hat[:, q], hat[:, v] = oracles.boundary_hat(
                 Um[:, q], Um[:, v], outward * s * Z, r)
         np.testing.assert_allclose(F, -outward * A @ (hat - Um), atol=1e-13)
 

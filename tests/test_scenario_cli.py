@@ -159,6 +159,29 @@ def test_two_media_scenario_builds():
     assert sc.c_p_max == pytest.approx(np.sqrt(2.0))
 
 
+@pytest.mark.parametrize("extra", [
+    {"medium": {"two": ["acoustic-484", {"type": "acoustic", "rho": 2.0,
+                                         "kappa": 4.0}],
+                "interface": {"axis": "x", "position": 0.8}}},
+    {"receivers": [[0.8, 0.05]]}])
+def test_a_point_one_ulp_past_the_extent_is_on_its_edge(tmp_path, extra):
+    """x = 0.8 lies on the east extent 0.7 + 0.1 = 0.7999999999999999, both
+    as an interface and as a receiver, and the run completes."""
+    data = tiny_scenario_dict(
+        domain={"x": [0.0, 0.7], "y": [0.0, 0.1]}, element_size=0.1,
+        pml={"sides": ["east"], "width": 0.1}, final_time=0.01,
+        initial={"type": "gaussian-pulse", "center": [0.3, 0.05],
+                 "width_sq": 0.01}, receivers=[[0.3, 0.05]],
+        snapshot_times=[])
+    data.update(extra)
+    assert 0.7 + 0.1 < 0.8
+    out = tmp_path / "out"
+    assert cli.main(["run", write_scenario(tmp_path, data), "--out",
+                     str(out)]) == cli.EXIT_OK
+    assert json.loads((out / "metadata.json").read_text())[
+        "status"] == "completed"
+
+
 @pytest.mark.parametrize("medium", ["aniso-violating",
                                     {"preset": "aniso-violating"}])
 def test_violating_medium_is_a_scenario_preset(medium):

@@ -129,10 +129,13 @@ def test_mesh_index_puts_media_1_at_or_beyond_the_interface(axis, position):
 @given(st.data())
 def test_a_mesh_agrees_with_its_layout(data):
     """Over random valid boxes (typed as decimals, so the edges need not sum
-    to them exactly), sizes, layer sides and interfaces: the mesh's counts,
-    extents and interior are layout's, its outer edges are the extents
-    exactly, media[1] lies at or beyond the interface, and locate finds the
-    highest element whose low edge is at or below a point."""
+    to them exactly), sizes, layer sides and interfaces at lo + j h, the far
+    extent's included: the mesh's counts, extents and interior are layout's,
+    its outer edges are the extents exactly, media[1] lies at or beyond the
+    interface, and locate finds the highest element whose low edge is at or
+    below a point, takes a point past an outer edge by less than 1e-9 of an
+    element (or of the extent) onto that edge, and rejects one further
+    out."""
     size = data.draw(st.sampled_from([0.1, 0.2, 0.25, 0.3, 0.7, 1.5, 5.0]))
     box = []
     for _ in "xy":
@@ -145,7 +148,7 @@ def test_a_mesh_agrees_with_its_layout(data):
     if data.draw(st.booleans()):
         axis = data.draw(st.sampled_from("xy"))
         count, lo = (K, extents[0]) if axis == "x" else (L, extents[2])
-        j = data.draw(st.integers(0, count - 1))  # below the far extent
+        j = data.draw(st.integers(0, count))
         interface = (axis, lo + j * size)
         media_ = (ACOUSTIC, media.AcousticMedium(rho=3.0, kappa=2.0))
     mesh = build_mesh(*box, size, 2, media_, R_CLOSED, layers=layers,
@@ -175,8 +178,11 @@ def test_a_mesh_agrees_with_its_layout(data):
         assert abs(edges[k] + 0.5 * (ref + 1.0) * (edges[k + 1] - edges[k])
                    - v) <= 1e-12 * max(1.0, abs(v))
     x0, x1, y0, y1 = extents
-    for outside in ((np.nextafter(x1, np.inf), y0),
-                    (x0, np.nextafter(y0, -np.inf))):
+    assert mesh.locate(np.nextafter(x1, np.inf), y0) == (K - 1, 0, 1.0, -1.0)
+    assert mesh.locate(x0, np.nextafter(y0, -np.inf)) == (0, 0, -1.0, -1.0)
+    tol_x, tol_y = (1e-9 * max(size, hi - lo) for lo, hi in ((x0, x1),
+                                                              (y0, y1)))
+    for outside in ((x1 + 2 * tol_x, y0), (x0, y0 - 2 * tol_y)):
         with pytest.raises(ValueError, match="outside the mesh"):
             mesh.locate(*outside)
 
