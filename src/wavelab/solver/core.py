@@ -8,6 +8,13 @@ F_xi = H_xi^{-1} (e(-1) FL_xi + e(+1) FR_xi):
     dU/dt    = P (V_x + V_y - d_x w_x - d_y w_y - F_x - F_y)
     dw_xi/dt = V_xi - (d_xi + alpha) w_xi - theta_xi F_xi
 
+``rhs`` forms V_x + V_y at gamma = 1 for all elements at once, as products
+of their nodal rows with the mesh's volume blocks.  Per axis, the face
+kernel writes F_xi from the jump of the traces across each face through
+the neighbour maps NL and BR of ``Mesh.lift_maps``, the jump on a wall
+being the element's own trace (the mirror is in the wall's map).  Only the
+layer elements (d_xi > 0 or gamma_xi != 1) add the gamma part of V_xi and
+-d_xi w_xi and form dw_xi.  The sum is multiplied by each element's P.
 Auxiliary fields are stored only on elements overlapping a layer.
 """
 
@@ -79,22 +86,6 @@ def zero_state(mesh):
 # -- semi-discrete right-hand side -------------------------------------------
 
 
-def _volume_terms(mesh, U, Vx, Vy, scratch):
-    """Vx and Vy, each one matrix product along node lines, one field mix
-    per element and the metric scaling, written into the caller's arrays;
-    the x line product passes through Vy, the y line product through
-    scratch."""
-    K, L, m, n = mesh.K, mesh.L, mesh.m, mesh.n
-    rows = U.reshape(K * L * m, n * n)
-    for line, A, scale, V, lines in zip(
-            (mesh.line_x, mesh.line_y), (mesh.A_x, mesh.A_y), mesh.scales,
-            (Vx, Vy), (Vy, scratch)):
-        np.matmul(rows, line, out=lines.reshape(K * L * m, n * n))
-        np.matmul(A, lines.reshape(K * L, m, n * n),
-                  out=V.reshape(K * L, m, n * n))
-        V *= scale
-
-
 def _along(a, axis):
     """``a`` itself for x; for y a view with the element axes swapped and, on
     nodal arrays, the node axes too, so y faces sit where x faces do."""
@@ -106,38 +97,45 @@ def _along(a, axis):
 
 def rhs(y, mesh, config, out):
     """Write dy/dt of the semi-discrete system at the flat state y into the
-    flat vector out (same layout, see ``split``).  The U block of out is
-    scratch until the P multiply, so out must not overlap y."""
+    flat vector out (same layout, see ``split``), which must not overlap y."""
     if np.may_share_memory(y, out):
         raise ValueError("rhs: out must not overlap y")
     U, w_x, w_y = split(y, mesh)
     dU, dw_x, dw_y = split(out, mesh)
-    Vx, Vy = mesh.work
-    _volume_terms(mesh, U, Vx, Vy, dU)
-    pending = []  # per axis, what the body takes once it is formed
-    for axis, V, w, dw, active, theta in (
-            ("x", Vx, w_x, dw_x, mesh.active_x, config.theta_x),
-            ("y", Vy, w_y, dw_y, mesh.active_y, config.theta_y)):
-        traces = _along(U, axis)
-        lift_lo, lift_hi = fluxes.elastic_face_fluctuations(
-            mesh.lift_maps[axis], traces[:, :, :, 0], traces[:, :, :, -1])
-        w, dw = _along(w, axis), _along(dw, axis)
-        pending.append((axis, lift_lo, lift_hi, w, active))
-        if not active.size:  # no layer on this axis: w and dw are empty
+    K, L, m, n2 = mesh.K, mesh.L, mesh.m, mesh.n * mesh.n
+    rows, body = U.reshape(K * L, m * n2), np.empty((K * L, m * n2))
+    for into, source, S, add in mesh.volume_blocks:
+        if add:
+            body[:, into] += rows[:, source] @ S.T
+        else:
+            np.matmul(rows[:, source], S.T, out=body[:, into])
+    body = body.reshape(U.shape)
+    for axis, w, dw, theta in (("x", w_x, dw_x, config.theta_x),
+                               ("y", w_y, dw_y, config.theta_y)):
+        lift = np.zeros(U.shape)
+        fluxes.elastic_face_fluctuations(mesh.lift_maps[axis], _along(U, axis),
+                                         _along(lift, axis))
+        body -= lift
+        if axis not in mesh.layer_blocks:
             continue
-        np.subtract(_along(V, axis)[active], mesh.damping[axis][1] * w,
-                    out=dw)
-        dw[:, :, :, 0] -= theta * lift_lo[active]
-        dw[:, :, :, -1] -= theta * lift_hi[active]
-    body = np.add(Vx, Vy, out=Vx)  # in place: the updates above read Vx
-    for axis, lift_lo, lift_hi, w, active in pending:
-        faces = _along(body, axis)
-        faces[:, :, :, 0] -= lift_lo
-        faces[:, :, :, -1] -= lift_hi
-        if active.size:
-            faces[active] -= mesh.damping[axis][0] * w
-
-    shape = (mesh.K, mesh.L, mesh.m, mesh.n * mesh.n)
+        # on the layer elements: V_xi, what it and d w add to the volume
+        # block's product, which has gamma = 1, and the w update
+        cols, A, gamma_part = mesh.layer_blocks[axis]
+        layer, faces = _along(U, axis)[cols], _along(body, axis)
+        lines = layer.shape[:3] + (-1,)
+        V = np.matmul(A, np.matmul(mesh.ref.D, layer).reshape(lines))
+        V = V.reshape(layer.shape)
+        if gamma_part is not None:
+            part = gamma_part * V
+            faces[cols] += part
+            V += part
+        if w.size:
+            w, dw = _along(w, axis), _along(dw, axis)
+            d, d_alpha = mesh.damping[axis]
+            faces[cols] -= d * w
+            np.subtract(V, d_alpha * w, out=dw)
+            dw -= theta * _along(lift, axis)[cols]
+    shape = (K, L, m, n2)
     np.matmul(mesh.Pmat, body.reshape(shape), out=dU.reshape(shape))
 
 

@@ -18,7 +18,12 @@ An element receives FL = +A_n (hat - trace) on its low face and FR = -A_n
 conditions and dissipate energy for positive impedances.  Products with s
 are exact, and s (q_R - q_L) is the ordered difference ``lead - lag``, so
 each system rounds as its own closed form does.  The hat state is linear,
-and the mesh evaluates it once on unit traces into maps (``face_maps``).
+and equal traces on both sides are their own hat state, so the
+fluctuations depend on the jump (minus - plus) alone: FL = NL (minus - plus)
+and FR = BR (minus - plus).  The mesh evaluates NL and BR once on unit
+traces (``face_maps``), folding a wall's mirror into its element's maps,
+and ``face_fluctuations`` applies them to the jumps of every face.  So
+traces that agree across a face give exactly zero there.
 """
 
 import numpy as np
@@ -35,32 +40,36 @@ def hat_state(s, q_L, v_L, Z_L, q_R, v_R, Z_R):
 
 
 def face_maps(pairs, m):
-    """(BL, NL, BR, NR) of interior faces, FL = BL plus + NL minus on the low
-    faces of the plus elements and FR = BR minus + NR plus on the high faces
-    of the minus elements; ``pairs`` holds (q, v, s, Z_minus, Z_plus) per
-    pair, and each map has the impedances' shape + (m, m)."""
-    qm, vm, qp, vp = np.eye(4)  # unit traces, one a column
-    BL, NL, BR, NR = maps = np.zeros((4,) + pairs[0][3].shape + (m, m))
+    """(NL, BR) of interior faces: FL = NL (minus - plus) on the low faces
+    of the plus elements and FR = BR (minus - plus) on the high faces of
+    the minus elements, from the jump of the traces, as the hat state of
+    equal traces is that trace; ``pairs`` holds (q, v, s, Z_minus, Z_plus)
+    per pair, and each map has the impedances' shape + (m, m)."""
+    qm, vm = np.eye(2)  # unit minus traces, one a column
+    NL, BR = maps = np.zeros((2,) + pairs[0][3].shape + (m, m))
     for q, v, s, Zm, Zp in pairs:
-        q_hat, v_hat = hat_state(s, qm, vm, Zm[..., None], qp, vp,
+        q_hat, v_hat = hat_state(s, qm, vm, Zm[..., None], 0.0, 0.0,
                                  Zp[..., None])
-        FR = -s * np.stack([v_hat - vm, q_hat - qm], axis=-2)
-        FL = s * np.stack([v_hat - vp, q_hat - qp], axis=-2)
         rows, cols = [[q], [v]], [q, v]
-        BR[..., rows, cols], NR[..., rows, cols] = FR[..., :2], FR[..., 2:]
-        NL[..., rows, cols], BL[..., rows, cols] = FL[..., :2], FL[..., 2:]
+        NL[..., rows, cols] = s * np.stack([v_hat, q_hat], axis=-2)
+        BR[..., rows, cols] = -s * np.stack([v_hat - vm, q_hat - qm], axis=-2)
     return maps
 
 
-def face_fluctuations(maps, lo, hi):
-    """Lifted fluctuations (FL, FR) of every element's low and high faces
-    from its face traces lo and hi, shaped (elements along the axis, across
-    it, m, nodes), and the maps (BL, NL, BR, NR) of ``Mesh.lift_maps``."""
-    BL, NL, BR, NR = maps
-    FL, FR = np.matmul(BL, lo), np.matmul(BR, hi)
-    FL[1:] += np.matmul(NL, hi[:-1])
-    FR[:-1] += np.matmul(NR, lo[1:])
-    return FL, FR
+def face_fluctuations(maps, traces, out):
+    """Write the lifted fluctuations of every element's low and high faces
+    into the face nodes of the nodal array out, from the nodal array traces,
+    both shaped (elements along the axis, across it, m, nodes along it,
+    nodes across), and the maps (NL, BR) of ``Mesh.lift_maps``: of the jump
+    from the low neighbour's high trace to the element's low trace, and
+    from the element's high trace to the high neighbour's low trace.  A
+    wall's jump is the element's own trace, its map holding the mirror."""
+    lo, hi = traces[:, :, :, 0], traces[:, :, :, -1]
+    jump = np.empty((len(lo) + 1,) + lo.shape[1:])
+    jump[0], jump[-1] = lo[0], hi[-1]
+    np.subtract(hi[:-1], lo[1:], out=jump[1:-1])
+    np.matmul(maps[0], jump[:-1], out=out[:, :, :, 0])
+    np.matmul(maps[1], jump[1:], out=out[:, :, :, -1])
 
 
 # perfbench/tracer.py rebinds these older names: the solver calls the elastic

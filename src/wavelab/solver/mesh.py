@@ -125,19 +125,10 @@ class Mesh:
 
         self._install_media(media, index)
         self._install_damping(layers)
-        # rhs() and discrete_energy() view nodal arrays as (..., n^2) rows,
-        # node (i, j) at column i n + j; a row times line_x = kron(D^T, I)
-        # (line_y = kron(I, D^T)) applies D along every x (y) node line.
-        # Broadcasting forms them faster than np.kron at these sizes.
-        DT, eye, n2 = self.ref.D.T, np.eye(self.n), self.n * self.n
-        self.line_x = (DT[:, None, :, None] * eye[:, None]).reshape(n2, n2)
-        self.line_y = (eye[:, None, :, None] * DT[:, None]).reshape(n2, n2)
         # 1/2 J h_i h_j per element and node, shaped (K, L, 1, n^2)
         h = self.ref.weights
         self.energy_weight = 0.5 * self.jac[:, :, None, None] * np.outer(
             h, h).ravel()
-        # the two scratch nodal arrays (Vx, Vy) that every rhs() overwrites
-        self.work = np.empty((2, self.K, self.L, self.m, self.n, self.n))
 
     # -- media ------------------------------------------------------------
 
@@ -170,29 +161,75 @@ class Mesh:
         self.inv_gamma_x = 1.0 / (1.0 + (layers.gamma - 1.0) * ramp_x)
         self.inv_gamma_y = 1.0 / (1.0 + (layers.gamma - 1.0) * ramp_y)
         self.alpha = layers.alpha
-        self.active_x = np.where(self.d_x.max(axis=1) > 0.0)[0]
-        self.active_y = np.where(self.d_y.max(axis=1) > 0.0)[0]
+        # per axis, the element columns (rows on y) that a layer acts on
+        # (d > 0 or gamma != 1), which hold w if it damps, and, in the order
+        # of core._along, their (2 / element size) A and 1 / gamma - 1 at
+        # their nodes (None if gamma = 1)
+        self.layer_blocks, active = {}, []
+        acts = layers.d0 > 0 or layers.gamma != 1
+        for axis, A, ramp, inv_gamma in (
+                ("x", self.A_x, ramp_x, self.inv_gamma_x),
+                ("y", self.A_y, ramp_y, self.inv_gamma_y)):
+            cols = np.flatnonzero((ramp > 0).any(axis=1) & acts)
+            active.append(cols if layers.d0 > 0 else cols[:0])
+            part = inv_gamma - 1.0
+            if cols.size:
+                if cols[-1] - cols[0] == cols.size - 1:  # one side: a view
+                    cols = slice(cols[0], cols[-1] + 1)
+                self.layer_blocks[axis] = (
+                    cols, 2.0 / self.element_size * A,
+                    part[cols][:, None, None, :, None] if part.any() else None)
+        self.active_x, self.active_y = active
         # d and d + alpha per auxiliary block, in the order of core._along
         self.damping = {axis: (d, d + self.alpha) for axis, d in (
             ("x", self.d_x[self.active_x][:, None, None, :, None]),
             ("y", self.d_y[self.active_y][:, None, None, :, None]))}
 
     @cached_property
-    def scales(self):
-        """Per-node metric factors of the x and y volume terms, full-size for
-        one contiguous multiply in rhs(), which builds them and ``lift_maps``
-        on its first call, once per mesh."""
-        return [np.broadcast_to(f, self.work.shape[1:]).copy() for f in (
-            (self.qx[:, None] * self.inv_gamma_x)[:, None, None, :, None],
-            (self.ry[:, None] * self.inv_gamma_y)[None, :, None, None, :])]
+    def volume_blocks(self):
+        """[(into, source, S, add)]: the volume terms at gamma = 1,
+        (2 / element size) (A_x D_x + A_y D_y) U, of the nodal rows of all
+        elements (fields, then x nodes, then y nodes), as the products
+        ``row[into] = row[source] @ S.T`` (``+=`` with ``add``) in order;
+        the same for every element, since the media share A_x and A_y.
+        These couple the fields before some k only with those after it, so
+        two blocks hold all the work.  Each product has a multiple of 8 rows
+        or at most 8, the last outputs of a block made again by 8 rows, and
+        at most 384 columns or one field's: with OpenBLAS's Haswell kernels,
+        such products give the same bytes however the threads split them."""
+        D, eye, n2 = self.ref.D, np.eye(self.n), self.n * self.n
+        width = max(1, 384 // n2) * n2  # columns per product, whole fields
+        A = np.abs(self.A_x) + np.abs(self.A_y)
+        k = next(k for k in range(1, self.m)
+                 if not (A[:k, :k].any() or A[k:, k:].any()))
+        blocks = []
+        for into, source in ((slice(0, k), slice(k, self.m)),
+                             (slice(k, self.m), slice(0, k))):
+            S = 2.0 / self.element_size * (
+                np.kron(self.A_x[into, source], np.kron(D, eye))
+                + np.kron(self.A_y[into, source], np.kron(eye, D)))
+            # the rows up to a multiple of 8, then the last 8 (or fewer)
+            start, head = into.start * n2, len(S) // 8 * 8
+            parts = [(0, head)] if head else []
+            if head < len(S):
+                parts.append((max(len(S) - 8, 0), len(S)))
+            for lo, hi in parts:
+                for f in range(0, S.shape[1], width):
+                    g = min(f + width, S.shape[1])
+                    blocks.append((slice(start + lo, start + hi),
+                                   slice(source.start * n2 + f,
+                                         source.start * n2 + g),
+                                   S[lo:hi, f:g], f > 0))
+        return blocks
 
     @cached_property
     def lift_maps(self):
-        """Per axis, the maps (BL, NL, BR, NR) of ``fluxes.face_fluctuations``
-        in the order of ``core._along``, with all characteristic pairs and
-        the lift (2 / element size) / end weight folded in.  A wall is a face
-        to a mirror neighbour, which has the element's own impedance and the
-        trace G (q, v) = (-r q, r v): its map is BL + NL G or BR + NR G."""
+        """Per axis, the maps (NL, BR) of ``fluxes.face_fluctuations``, one
+        per element in the order of ``core._along``, with all characteristic
+        pairs and the lift (2 / element size) / end weight folded in.  A wall
+        is a face to a mirror neighbour, which has the element's own
+        impedance and the trace G (q, v) = (-r q, r v), so its jump is
+        (G - I) or (I - G) times the element's own trace."""
         h, maps = self.ref.weights, {}
         for axis, A, index, scale, sides in (
                 ("x", self.A_x, self.index, self.qx, SIDES[:2]),
@@ -206,12 +243,11 @@ class Mesh:
                 Z = np.array([p[i][2] for p in per_medium])[medium]
                 pairs.append((q, v, A[v, q], Z[:-1], Z[1:]))
                 G[q, q], G[v, v] = -1.0, 1.0
-            BL, NL, BR, NR = fluxes.face_maps(pairs, self.m)
-            BL[0] += NL[0] @ (self.boundary_r[sides[0]] * G)
-            BR[-1] += NR[-1] @ (self.boundary_r[sides[1]] * G)
+            NL, BR = fluxes.face_maps(pairs, self.m)
+            NL[0] = NL[0] @ (self.boundary_r[sides[0]] * G - np.eye(self.m))
+            BR[-1] = BR[-1] @ (np.eye(self.m) - self.boundary_r[sides[1]] * G)
             lo, hi = (scale[:, None, None, None] / w for w in (h[0], h[-1]))
-            maps[axis] = (lo * BL[:-1], lo[1:] * NL[1:-1], hi * BR[1:],
-                          hi[:-1] * NR[1:-1])
+            maps[axis] = (lo * NL[:-1], hi * BR[1:])
         return maps
 
     # -- geometry helpers ---------------------------------------------------

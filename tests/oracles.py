@@ -50,6 +50,27 @@ def volume_terms(mesh, U):
     return Vx, Vy
 
 
+def line_factors(ref):
+    """(kron(D^T, I), kron(I, D^T)): a nodal row (node (i, j) at column
+    i n + j) times the first applies D along every x node line, times the
+    second along every y node line."""
+    DT, eye = ref.D.T, np.eye(len(ref.nodes))
+    return np.kron(DT, eye), np.kron(eye, DT)
+
+
+def line_volume_terms(mesh, U):
+    """(Vx, Vy) of ``volume_terms`` as matrix products over all elements:
+    each element row times a line factor, the field mix and the metric
+    scaling."""
+    K, L, m, n = mesh.K, mesh.L, mesh.m, mesh.n
+    rows = U.reshape(K * L, m, n * n)
+    scales = ((mesh.qx[:, None] * mesh.inv_gamma_x)[:, None, None, :, None],
+              (mesh.ry[:, None] * mesh.inv_gamma_y)[None, :, None, None, :])
+    return [scale * np.matmul(A, rows @ line).reshape(U.shape)
+            for line, A, scale in zip(line_factors(mesh.ref),
+                                      (mesh.A_x, mesh.A_y), scales)]
+
+
 def p_multiply(mesh, body):
     """P body with each element's own P, as ``rhs`` ends."""
     return np.einsum("klab,klbij->klaij", mesh.Pmat, body)

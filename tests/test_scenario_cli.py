@@ -257,31 +257,56 @@ def test_a_run_loads_neither_openssl_nor_numpy_ma(tmp_path):
 
 
 _HASH_RUNS = """
-import hashlib, sys
+import hashlib, importlib.util, sys
 from pathlib import Path
 from wavelab import cli, scenario
 out = Path(sys.argv[1])
+spec = importlib.util.spec_from_file_location("golden_csv", sys.argv[2])
+golden = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(golden)
+variants = {sc.name: sc for sc in golden.scenarios()}
 for name in ("acoustic-waveguide", "elastic-iso-waveguide"):
     sc = scenario.with_overrides(scenario.load_preset(name), final_time=6.0,
                                  snapshot_times=[3.0, 6.0])
     cli.run_scenario_with_artifacts(sc, out / name)
+for name in ("all-sides-acoustic-484", "two-media-y"):
+    cli.run_scenario_with_artifacts(variants[name], out / name)
 for path in sorted(out.glob("*/*.csv")):
     print(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out))
+import numpy as np
+from wavelab import media, pml
+from wavelab.solver import SolverConfig, build_mesh, rhs
+from wavelab.solver.core import zero_state
+for name, degree in (("acoustic-484", 12), ("iso-table1", 11),
+                     ("iso-table1", 12)):
+    mesh = build_mesh(0.0, 7.0, 0.0, 5.0, 1.0, degree, (media.preset(name),),
+                      dict.fromkeys(pml.SIDES, 0.3),
+                      layers=pml.Layers(("east",), 1.0, d0=1.0))
+    y = np.random.default_rng(degree).normal(size=zero_state(mesh).y.size)
+    rhs(y, mesh, SolverConfig(), out := np.empty_like(y))
+    print(hashlib.sha256(out.tobytes()).hexdigest(), name, degree)
 """
 
 
 def test_csv_bodies_do_not_depend_on_the_blas_thread_count(tmp_path):
     """The matrix products of rhs and discrete_energy give the same bytes
-    with one BLAS thread and with two."""
+    with one BLAS thread and with two, on both waveguides, on the golden
+    variant with layers on all sides (gamma 1.5, fractional walls) and on
+    the one with two media split on y; and one rhs at degree 12 (and 11,
+    elastic), where the volume products are the widest."""
+    golden = Path(__file__).resolve().parents[1] / "scripts" / "golden_csv.py"
     listings = []
     for threads in ("1", "2"):
         env = _fresh_env(OPENBLAS_NUM_THREADS=threads,
                          OMP_NUM_THREADS=threads)
         done = subprocess.run(
-            [sys.executable, "-c", _HASH_RUNS, str(tmp_path / threads)],
-            env=env, capture_output=True, text=True, check=True)
+            [sys.executable, "-c", _HASH_RUNS, str(tmp_path / threads),
+             str(golden)], env=env, capture_output=True, text=True,
+            check=True)
         listings.append(done.stdout.splitlines())
-    assert len(listings[0]) == 8  # series, receivers, two snapshots per run
+    # series, receivers and the snapshots (two per waveguide, two of the
+    # all-sides variant and three of the two-media one), and three rhs
+    assert len(listings[0]) == 20
     assert listings[0] == listings[1]
 
 
